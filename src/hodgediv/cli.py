@@ -2,7 +2,8 @@
 
 Every command prints either a human-readable table or, with ``--json``, a
 deterministic JSON report.  Exit codes: 0 when every checked quantity
-matches, 1 on any mismatch, 2 on usage or input errors.  All rationals are
+matches, 1 on any mismatch, 2 on usage or input errors and on a catalog
+file that cannot be written.  All rationals are
 rendered exactly as ``p/q``; nothing is ever printed in decimal.
 """
 
@@ -204,7 +205,11 @@ def cmd_catalog_list(genus: int, as_json: bool):
 def cmd_catalog_write(genera):
     for g in genera:
         _check_genus(g)
-    path = catalog_mod.write_catalog(list(genera))
+    try:
+        path = catalog_mod.write_catalog(list(genera))
+    except OSError as exc:
+        click.echo(f"Error: cannot write catalog {exc.filename}: {exc.strerror}", err=True)
+        sys.exit(2)
     click.echo(f"wrote {path}")
 
 
@@ -312,7 +317,7 @@ def cmd_threshold(kind, genus, a, b, c0, c, cmax, as_json):
         else:
             d = extremality.threshold_quadratic(aq, bq, _parse_q(c, "--c"), genus,
                                                 _parse_q(cmax, "--cmax"))
-    except extremality.NonPositiveDenominator as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     if as_json:
         click.echo(json.dumps({
@@ -374,7 +379,7 @@ def cmd_certify(kind, genus, a, b, c0, c, cmax, d_value, as_json):
                  **{f"delta_{i}": cq for i in range(genus // 2 + 1)}})
         curves = _sample_grid(kind, genus, cmax_q)
         result = extremality.certificate_check(stratum, ample, d, curves)
-    except extremality.NonPositiveDenominator as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     payload = {
         "command": "certify",

@@ -34,7 +34,8 @@ class UnderdeterminedSystem(ValueError):
 
 def format_rational(x: Q) -> str:
     """Render a rational as ``p/q``, or just ``p`` when the denominator is 1."""
-    x = Q(x)
+    if not isinstance(x, Q):
+        x = Q(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

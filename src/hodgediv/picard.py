@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cache
 
 PHODGE_ABELIAN = "PHodgeAbelian"
 PHODGE_QUADRATIC = "PHodgeQuadratic"
@@ -37,14 +38,20 @@ class BasisSpec:
     space_kind: str
     genus: int
     symbols: tuple[str, ...]
+    # symbol -> position, derived from ``symbols``; not part of the value.
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_positions", {s: i for i, s in enumerate(self.symbols)})
 
     def index(self, symbol: str) -> int:
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self._positions[symbol]
+        except KeyError:
             raise KeyError(f"symbol {symbol!r} not in basis {self.space_kind}({self.genus})") from None
 
 
+@cache
 def basis(space_kind: str, g: int) -> BasisSpec:
     """Ordered symbol list for the rational Picard group of the given space."""
     if g < 2:
@@ -70,13 +77,14 @@ class DivisorClass:
     def __post_init__(self):
         if len(self.coeffs) != len(self.basis.symbols):
             raise ValueError("coefficient count does not match basis size")
-        object.__setattr__(self, "coeffs", tuple(Q(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs",
+                           tuple(c if isinstance(c, Q) else Q(c) for c in self.coeffs))
 
     @classmethod
     def from_map(cls, b: BasisSpec, coeffs: dict[str, Q]) -> "DivisorClass":
         vec = [Q(0)] * len(b.symbols)
         for sym, c in coeffs.items():
-            vec[b.index(sym)] = Q(c)
+            vec[b.index(sym)] = c
         return cls(b, tuple(vec))
 
     @classmethod
@@ -141,8 +149,9 @@ class CurveRecord:
         if self.vector is not None:
             if len(self.vector) != len(self.basis.symbols):
                 raise ValueError("intersection vector length does not match basis size")
-            object.__setattr__(self, "vector", tuple(Q(v) for v in self.vector))
-        if self.total_delta is not None:
+            object.__setattr__(self, "vector",
+                               tuple(v if isinstance(v, Q) else Q(v) for v in self.vector))
+        if self.total_delta is not None and not isinstance(self.total_delta, Q):
             object.__setattr__(self, "total_delta", Q(self.total_delta))
 
     @classmethod
@@ -151,9 +160,8 @@ class CurveRecord:
                  total_delta=None) -> "CurveRecord":
         vec = [Q(0)] * len(b.symbols)
         for sym, c in entries.items():
-            vec[b.index(sym)] = Q(c)
-        return cls(name, b, tuple(vec), dict(known_pairings or {}),
-                   Q(total_delta) if total_delta is not None else None)
+            vec[b.index(sym)] = c
+        return cls(name, b, tuple(vec), dict(known_pairings or {}), total_delta)
 
     def entry(self, symbol: str) -> Q:
         if self.vector is None:
@@ -167,7 +175,7 @@ def pair(curve: CurveRecord, c: DivisorClass) -> Q:
         raise ValueError("curve and class live over different bases")
     if curve.vector is None:
         raise ValueError(f"curve {curve.name!r} has no committed intersection vector")
-    total = sum((v * a for v, a in zip(curve.vector, c.coeffs)), Q(0))
+    total = sum((v * a for v, a in zip(curve.vector, c.coeffs) if v), Q(0))
     if curve.total_delta is not None:
         deltas = [c.coefficient(s) for s in c.basis.symbols if s.startswith("delta_")]
         if len(set(deltas)) > 1:
@@ -203,6 +211,7 @@ def substitute_relation(c: DivisorClass, eliminated_symbol: str,
 # Class catalog
 # ---------------------------------------------------------------------------
 
+@cache
 def class_W(g: int) -> DivisorClass:
     """Weierstrass divisor on the moduli of 1-pointed genus-g curves.
 

@@ -151,6 +151,11 @@ def derive_theorem_class(g: int) -> DivisorClass:
     the C-route is unavailable and (c_0, c_1) are solved from the B-curve
     equation together with the genus-2 lambda relation identifying D with
     the double-zero stratum class.
+
+    Each C-curve is built once: its recorded D-pairing (one call to
+    :func:`rhs_C_dot_D`) fixes c_i, and the same record is reused by the
+    closing consistency check, which pairs every cataloged curve with the
+    derived class.
     """
     _check_genus(g)
     b_spec = basis(PHODGE_ABELIAN, g)
@@ -168,6 +173,7 @@ def derive_theorem_class(g: int) -> DivisorClass:
 
     coeffs = {"eta": a, "lambda": b}
     b_rec = curve_B(g)
+    c_recs = [curve_C(g, i) for i in range(1, g // 2 + 1)] if g >= 3 else []
 
     if g == 2:
         # Close the system with the B-curve equation and the genus-2
@@ -186,9 +192,8 @@ def derive_theorem_class(g: int) -> DivisorClass:
         coeffs["delta_0"] = c0
         coeffs["delta_1"] = c1
     else:
-        for i in range(1, g // 2 + 1):
-            c_rec = curve_C(g, i)
-            coeffs[f"delta_{i}"] = rhs_C_dot_D(g, i) / c_rec.entry(f"delta_{i}")
+        for i, c_rec in enumerate(c_recs, start=1):
+            coeffs[f"delta_{i}"] = c_rec.known_pairings["D"] / c_rec.entry(f"delta_{i}")
         # B equation: g^2 - 1 = b + 12 c_0 - c_1
         coeffs["delta_0"] = (b_rec.known_pairings["D"] - b + coeffs["delta_1"]) / 12
 
@@ -196,7 +201,7 @@ def derive_theorem_class(g: int) -> DivisorClass:
 
     # Internal consistency: every cataloged pairing must hold for the
     # derived class; a failure indicates a catalog bug.
-    for rec in [a_rec, b_rec] + ([curve_C(g, i) for i in range(1, g // 2 + 1)] if g >= 3 else []):
+    for rec in [a_rec, b_rec, *c_recs]:
         if pair(rec, derived) != rec.known_pairings["D"]:
             raise ArithmeticError(
                 f"derivation pipeline inconsistent with curve {rec.name!r} at genus {g}")

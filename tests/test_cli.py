@@ -107,6 +107,28 @@ def test_threshold_nonpositive_denominator_exits_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["certify", "--kind", "quadratic", "--genus", "3", "-a", "1", "-b", "2",
+     "--c", "1/3", "--cmax", "-1"],
+    ["certify", "--kind", "abelian", "--genus", "3", "-a", "1", "-b", "2", "-d", "0"],
+    ["threshold", "--kind", "quadratic", "--genus", "3", "-a", "1", "-b", "2",
+     "--cmax", "-1"],
+])
+def test_invalid_certificate_input_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert result.output.splitlines()[-1].startswith("Error: ")
+
+
+def test_catalog_write_unwritable_path_exits_2(runner, tmp_path, monkeypatch):
+    target = tmp_path / "missing" / "cat.json"
+    monkeypatch.setenv("HODGEDIV_CATALOG", str(target))
+    result = runner.invoke(main, ["catalog", "write", "--genus", "3"])
+    assert result.exit_code == 2
+    assert result.output == f"Error: cannot write catalog {target}: No such file or directory\n"
+
+
 def test_certify_pass_and_fail(runner):
     args = ["certify", "--kind", "abelian", "--genus", "3", "-a", "1", "-b", "2", "--c0", "1/3"]
     passing = runner.invoke(main, args)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hodgediv.picard import (
+    BasisSpec,
     CurveRecord,
     DivisorClass,
     MBAR_G_EXT,
@@ -36,6 +37,19 @@ def test_basis_marked():
 def test_basis_rejects_small_genus():
     with pytest.raises(ValueError):
         basis(PHODGE_ABELIAN, 1)
+
+
+def test_cached_basis_is_a_plain_value():
+    b = basis(PHODGE_ABELIAN, 4)
+    assert b is basis(PHODGE_ABELIAN, 4)
+    by_hand = BasisSpec(PHODGE_ABELIAN, 4, ("eta", "lambda", "delta_0", "delta_1", "delta_2"))
+    assert b == by_hand and hash(b) == hash(by_hand)
+    assert b != BasisSpec(PHODGE_QUADRATIC, 4, by_hand.symbols)
+    assert repr(b) == ("BasisSpec(space_kind='PHodgeAbelian', genus=4, "
+                       "symbols=('eta', 'lambda', 'delta_0', 'delta_1', 'delta_2'))")
+    assert [b.index(s) for s in b.symbols] == list(range(5))
+    with pytest.raises(KeyError, match=r"'delta_3' not in basis PHodgeAbelian\(4\)"):
+        b.index("delta_3")
 
 
 def test_class_W():

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hodgediv import testcurves
 from hodgediv.picard import class_D, class_W, pair
 from hodgediv.testcurves import (
     compute_a_prime,
@@ -85,6 +86,25 @@ def test_derive_matches_closed_form():
                            "delta_1": Q(-32), "delta_2": Q(-48)}
     for g in range(2, 13):
         assert derive_theorem_class(g) == class_D(g)
+
+
+def test_derive_matches_closed_form_up_to_genus_200():
+    for g in [*range(13, 201, 17), 200]:
+        assert derive_theorem_class(g) == class_D(g)
+
+
+def test_derive_pairs_each_C_curve_once(monkeypatch):
+    calls = []
+
+    def counting(g, i):
+        calls.append(i)
+        return rhs_C_dot_D(g, i)
+
+    monkeypatch.setattr(testcurves, "rhs_C_dot_D", counting)
+    for g in range(3, 13):
+        calls.clear()
+        assert derive_theorem_class(g) == class_D(g)
+        assert sorted(calls) == list(range(1, g // 2 + 1))
 
 
 def test_derive_genus2_route():
