@@ -4,6 +4,7 @@ Grammar: sums, differences and products of declared generators, integer
 literals, integer powers (``^``) and parentheses.  Multiplication may be
 written ``*`` or by juxtaposition, so ``2b`` and ``(a+3b)`` work as
 expected.  Generators are named ``a``, ``b``, ``c``, ... in factor order.
+Parentheses and unary minus signs nest at most ``MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ import string
 from .chow import ChowElement, MultiProjRing
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*^()]))")
+
+# Deepest chain of parentheses and unary minus signs the parser accepts.  It
+# recurses through up to five frames per level, so this keeps it well inside
+# Python's default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 class ExpressionError(ValueError):
@@ -50,6 +56,7 @@ class _Parser:
                  ring: MultiProjRing):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.env = env
         self.ring = ring
 
@@ -62,6 +69,15 @@ class _Parser:
             raise ExpressionError("unexpected end of expression")
         self.pos += 1
         return tok
+
+    def nested(self, parse) -> ChowElement:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(
+                f"expression nests parentheses or unary minus deeper than {MAX_NESTING} levels")
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self) -> ChowElement:
         value = self.expr()
@@ -109,12 +125,12 @@ class _Parser:
                 raise ExpressionError(f"unknown generator {text!r}")
             return self.env[text]
         if (kind, text) == ("op", "("):
-            value = self.expr()
+            value = self.nested(self.expr)
             if self.take() != ("op", ")"):
                 raise ExpressionError("expected ')'")
             return value
         if (kind, text) == ("op", "-"):
-            return -self.power()
+            return -self.nested(self.power)
         raise ExpressionError(f"unexpected token {text!r}")
 
 

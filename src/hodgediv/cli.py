@@ -227,6 +227,9 @@ def cmd_chow_eval(expression: str, dims: str, as_json: bool):
     """Integrate a product expression; generators are a, b, c, ... per factor."""
     try:
         dim_list = tuple(int(d) for d in dims.split(","))
+    except ValueError:
+        raise click.UsageError(f"--dims must be comma-separated positive integers, got {dims!r}")
+    try:
         ring = chow.MultiProjRing(dim_list)
         value = chow.chow_integrate(chowexpr.evaluate(expression, ring))
     except (ValueError, chowexpr.ExpressionError) as exc:

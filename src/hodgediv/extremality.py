@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cache
 
 from .picard import (
     CurveRecord,
@@ -99,10 +100,12 @@ class TeichParamsQuadratic:
             raise ValueError("c_area must be nonnegative")
 
 
+@cache
 def kappa_mu(p: Partition) -> Q:
     """The Lyapunov-exponent carrying constant of a stratum:
 
     abelian: 1/12 sum m(m+2)/(m+1); quadratic: 1/24 sum d(d+4)/(d+2).
+    Memoized: every curve of a grid shares its stratum's partition.
     """
     if p.kind == "abelian":
         return sum((Q(m * (m + 2), m + 1) for m in p.parts), Q(0)) / 12

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cache
+from math import gcd
 
 PHODGE_ABELIAN = "PHodgeAbelian"
 PHODGE_QUADRATIC = "PHodgeQuadratic"
@@ -170,21 +171,36 @@ class CurveRecord:
 
 
 def pair(curve: CurveRecord, c: DivisorClass) -> Q:
-    """Intersection number of a recorded curve with a divisor class."""
+    """Intersection number of a recorded curve with a divisor class.
+
+    Exact, with one reduction: the products over the nonzero entries are
+    summed as an integer numerator over the running lcm of their
+    denominators, and a single Fraction is built at the end.
+    """
     if curve.basis != c.basis:
         raise ValueError("curve and class live over different bases")
     if curve.vector is None:
         raise ValueError(f"curve {curve.name!r} has no committed intersection vector")
-    total = sum((v * a for v, a in zip(curve.vector, c.coeffs) if v), Q(0))
+    terms = [(v, a) for v, a in zip(curve.vector, c.coeffs) if v and a]
     if curve.total_delta is not None:
-        deltas = [c.coefficient(s) for s in c.basis.symbols if s.startswith("delta_")]
-        if len(set(deltas)) > 1:
+        deltas = [a for s, a in zip(c.basis.symbols, c.coeffs) if s.startswith("delta_")]
+        if any(a != deltas[0] for a in deltas[1:]):
             raise ValueError(
                 "curve records only a total boundary pairing but the class has "
                 "non-uniform boundary coefficients")
         if deltas:
-            total += curve.total_delta * deltas[0]
-    return total
+            terms.append((curve.total_delta, deltas[0]))
+    num, den = 0, 1
+    for v, a in terms:
+        tn = v.numerator * a.numerator
+        td = v.denominator * a.denominator
+        if td == den:
+            num += tn
+        else:
+            k = gcd(den, td)
+            num = num * (td // k) + tn * (den // k)
+            den = den // k * td
+    return Q(num, den)
 
 
 def substitute_relation(c: DivisorClass, eliminated_symbol: str,

@@ -14,6 +14,7 @@ from hodgediv.chow import (
     pencil_family,
     relative_dualizing_linear,
 )
+from hodgediv.chowexpr import MAX_NESTING, ExpressionError, evaluate
 
 RING = MultiProjRing((1, 3))
 ALPHA, BETA = RING.generators()
@@ -173,3 +174,17 @@ def test_genus4_kappa_cross_validation():
     chow_side = chow_integrate(
         (ALPHA + BETA) * (ALPHA + BETA) * (ALPHA + 3 * BETA) * (2 * BETA))
     assert lattice_side == chow_side == 14
+
+
+def test_expression_nesting_limit():
+    ring = MultiProjRing((1,))
+    n = MAX_NESTING
+    assert chow_integrate(evaluate("(" * n + "a" + ")" * n, ring)) == 1
+    assert chow_integrate(evaluate("0+" + "-" * n + "a", ring)) == 1
+    # parentheses and unary minus share one depth count
+    with pytest.raises(ExpressionError, match="deeper than"):
+        evaluate("(-" * (n // 2) + "(a" + ")" * (n // 2 + 1), ring)
+    with pytest.raises(ExpressionError, match="deeper than"):
+        evaluate("(" * (n + 1) + "a" + ")" * (n + 1), ring)
+    with pytest.raises(ExpressionError, match="deeper than"):
+        evaluate("-" * (n + 1) + "a", ring)

@@ -70,6 +70,25 @@ def test_chow_eval_bad_expression_exits_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("expression", [
+    "(" * 2000 + "a" + ")" * 2000,
+    "0+" + "-" * 3000 + "a",
+], ids=["parentheses", "unary-minus"])
+def test_chow_eval_deep_nesting_exits_2(runner, expression):
+    result = runner.invoke(main, ["chow", "eval", expression, "--dims", "1"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert result.output.splitlines()[-1].startswith("Error: ")
+
+
+@pytest.mark.parametrize("dims", ["", "1,x"])
+def test_chow_eval_bad_dims_exits_2(runner, dims):
+    result = runner.invoke(main, ["chow", "eval", "a", "--dims", dims])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == (
+        f"Error: --dims must be comma-separated positive integers, got {dims!r}")
+
+
 def test_teich_pair_quadratic(runner):
     result = runner.invoke(main, ["teich", "pair", "--kind", "quadratic",
                                   "--genus", "3", "--chi", "2", "--carea", "1/2"])

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
+from hodgediv.cli import _sample_grid
 from hodgediv.extremality import (
     NonPositiveDenominator,
     Partition,
@@ -49,6 +50,19 @@ def test_kappa_mu_closed_forms():
         quadratic = double_zero_partition("quadratic", g)
         assert kappa_mu(abelian) == Q(9 * g - 10, 36)
         assert kappa_mu(quadratic) == Q(20 * g - 21, 72)
+
+
+def test_kappa_mu_computed_once_per_partition():
+    kappa_mu.cache_clear()
+    g = 7
+    p = double_zero_partition("quadratic", g)
+    for i in range(200):
+        teich_vector_quadratic(g, p, TeichParamsQuadratic(Q(i + 1), Q(i, 7)))
+    assert kappa_mu.cache_info().misses == 1
+    by_hand = Partition((2,) + (1,) * (4 * g - 6), "quadratic", g)
+    assert by_hand is not p and by_hand == p
+    assert kappa_mu(by_hand) is kappa_mu(p)
+    assert kappa_mu.cache_info().misses == 1
 
 
 def test_teich_params_validation():
@@ -214,3 +228,30 @@ def test_threshold_certificate_soundness_randomized(a, b, c0):
     stratum = class_stratum_abelian(g)
     ample = DivisorClass.from_map(stratum.basis, {"lambda": a, "eta": b, "delta_0": c0})
     assert certificate_check(stratum, ample, d, _abelian_grid(g, (1, 2))).passed
+
+
+@pytest.mark.parametrize("g", range(3, 8))
+@pytest.mark.parametrize("kind", ["abelian", "quadratic"])
+def test_certificate_is_sharp_on_sample_grid(kind, g):
+    """At the computed threshold the largest C.(S + d A) over the CLI's
+    sample grid is exactly 0, attained only at the binding end of the
+    parameter interval (the ample slope a + 12 c0 resp. a + 12 c is > 0)."""
+    a, b, c, cmax = Q(1), Q(10), Q(1, 12), Q(3, 2)
+    if kind == "abelian":
+        d = threshold_abelian(a, b, c, g)
+        stratum = class_stratum_abelian(g)
+        ample = DivisorClass.from_map(stratum.basis, {"lambda": a, "eta": b, "delta_0": c})
+        binding = {f"Teich(chi={2 * chi},L={g})" for chi in range(1, 6)}
+    else:
+        d = threshold_quadratic(a, b, c, g, cmax)
+        stratum = class_stratum_quadratic(g)
+        ample = DivisorClass.from_map(
+            stratum.basis,
+            {"lambda": a, "eta": b, **{f"delta_{i}": c for i in range(g // 2 + 1)}})
+        binding = {f"TeichQ(chi={chi},c={cmax})" for chi in range(1, 6)}
+    curves = _sample_grid(kind, g, cmax)
+    shifted = stratum + d * ample
+    values = {curve.name: pair(curve, shifted) for curve in curves}
+    assert max(values.values()) == 0
+    assert {name for name, v in values.items() if v == 0} == binding
+    assert certificate_check(stratum, ample, d, curves).passed

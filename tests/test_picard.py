@@ -22,6 +22,8 @@ from hodgediv.picard import (
 )
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+# denominators large enough that their lcm matters
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
 
 def test_basis_abelian():
@@ -150,14 +152,44 @@ def test_pair_total_delta_requires_uniform_boundary():
         pair(curve, lopsided)
 
 
-@given(st.lists(rationals, min_size=4, max_size=4),
-       st.lists(rationals, min_size=4, max_size=4),
-       st.lists(rationals, min_size=4, max_size=4),
-       rationals)
-def test_pair_is_bilinear(cv, xv, yv, t):
-    b = basis(PHODGE_ABELIAN, 2)
-    curve = CurveRecord("c", b, tuple(cv))
-    x = DivisorClass(b, tuple(xv))
-    y = DivisorClass(b, tuple(yv))
+def plain_pair(curve, c):
+    """Term-by-term oracle for ``pair``; the boundary coefficients of ``c``
+    are uniform whenever the curve records a total boundary pairing."""
+    total = sum((v * a for v, a in zip(curve.vector, c.coeffs)), Q(0))
+    if curve.total_delta is not None:
+        total += curve.total_delta * c.coefficient("delta_0")
+    return total
+
+
+@st.composite
+def pairing_problems(draw):
+    b = basis(draw(st.sampled_from([PHODGE_ABELIAN, PHODGE_QUADRATIC])),
+              draw(st.integers(min_value=2, max_value=40)))
+    n = len(b.symbols)
+    total_delta = draw(st.none() | wide_rationals)
+
+    def vector():  # sparse: a few nonzero entries at drawn positions
+        entries = draw(st.dictionaries(st.integers(0, n - 1), wide_rationals, max_size=6))
+        return tuple(entries.get(i, Q(0)) for i in range(n))
+
+    def divisor():
+        coeffs = vector()
+        if total_delta is not None:  # uniform boundary: delta_i = delta_0
+            coeffs = coeffs[:3] + (coeffs[2],) * (n - 3)
+        return DivisorClass(b, coeffs)
+
+    curve = CurveRecord("c", b, vector(), total_delta=total_delta)
+    return curve, divisor(), divisor(), draw(rationals)
+
+
+@given(pairing_problems())
+def test_pair_is_bilinear(problem):
+    """pair is bilinear and equals the term-by-term Fraction sum, as a
+    Fraction also when it is 0, on sparse vectors up to genus 40."""
+    curve, x, y, t = problem
+    for c in (x, y, x + y, x.scale(t), DivisorClass.zero(x.basis)):
+        value = pair(curve, c)
+        assert type(value) is Q
+        assert value == plain_pair(curve, c)
     assert pair(curve, x + y) == pair(curve, x) + pair(curve, y)
     assert pair(curve, x.scale(t)) == t * pair(curve, x)
