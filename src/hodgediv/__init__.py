@@ -10,7 +10,7 @@ of products of projective spaces and blow-up lattices
 extremality certificates (:mod:`hodgediv.extremality`).
 """
 
-from .exactq import Q, QMatrix, format_rational, matrix_rank, parse_rational, solve_exact
+from .exactq import Q, QMatrix, format_rational, parse_rational, solve_exact
 from .picard import (
     BasisSpec,
     CurveRecord,
@@ -25,7 +25,7 @@ from .picard import (
 )
 
 __all__ = [
-    "Q", "QMatrix", "format_rational", "parse_rational", "solve_exact", "matrix_rank",
+    "Q", "QMatrix", "format_rational", "parse_rational", "solve_exact",
     "BasisSpec", "CurveRecord", "DivisorClass", "basis",
     "class_D", "class_W", "class_stratum_abelian", "class_stratum_quadratic",
     "pair", "substitute_relation",

@@ -121,15 +121,6 @@ class ChowElement:
             out = out * self
         return out
 
-    def linear_coefficients(self) -> tuple[Q, ...]:
-        """Coefficient tuple of a degree-1 homogeneous element."""
-        if not self.is_linear():
-            raise ValueError("element is not a linear (degree-1 homogeneous) class")
-        coeffs = [Q(0)] * len(self.ring.dims)
-        for e, c in self.terms.items():
-            coeffs[e.index(1)] = c
-        return tuple(coeffs)
-
     def is_linear(self) -> bool:
         return all(sum(e) == 1 for e in self.terms)
 
@@ -142,11 +133,6 @@ class ChowElement:
                             for j, k in enumerate(e) if k)
             parts.append(f"({self.terms[e]})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
-
-
-def chow_mul(a: ChowElement, b: ChowElement) -> ChowElement:
-    """Truncated product of two ring elements."""
-    return a * b
 
 
 def chow_integrate(a: ChowElement) -> Q:

@@ -59,7 +59,8 @@ class QMatrix:
             raise ValueError("negative dimensions")
         if self.rows * self.cols != len(self.entries):
             raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries", tuple(Q(e) for e in self.entries))
+        object.__setattr__(self, "entries",
+                           tuple(e if isinstance(e, Q) else Q(e) for e in self.entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
@@ -67,7 +68,7 @@ class QMatrix:
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(Q(e) for r in rows for e in r))
+        return cls(nrows, ncols, tuple(e for r in rows for e in r))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -86,38 +87,30 @@ class QMatrix:
         return tuple(sum((self[i, j] * x[j] for j in range(self.cols)), Q(0)) for i in range(self.rows))
 
 
-def _echelonize(a: QMatrix, b: Sequence[Q] | None):
+def _echelonize(a: QMatrix, b: Sequence[Q]):
     """Forward elimination; returns (rows, rhs, pivot column list)."""
     m = [list(a.row(i)) for i in range(a.rows)]
-    t = [Q(v) for v in b] if b is not None else None
+    t = [Q(v) for v in b]
     pivots: list[int] = []
     piv_r = 0
     for piv_c in range(a.cols):
-        hit = next((r for r in range(piv_r, a.rows) if m[r][piv_c] != 0), None)
+        hit = next((r for r in range(piv_r, a.rows) if m[r][piv_c]), None)
         if hit is None:
             continue
         m[piv_r], m[hit] = m[hit], m[piv_r]
-        if t is not None:
-            t[piv_r], t[hit] = t[hit], t[piv_r]
+        t[piv_r], t[hit] = t[hit], t[piv_r]
         fp = m[piv_r][piv_c]
         for r in range(piv_r + 1, a.rows):
             fr = m[r][piv_c]
-            if fr == 0:
+            if not fr:
                 continue
             ratio = fr / fp
             for c in range(piv_c, a.cols):
                 m[r][c] -= m[piv_r][c] * ratio
-            if t is not None:
-                t[r] -= t[piv_r] * ratio
+            t[r] -= t[piv_r] * ratio
         pivots.append(piv_c)
         piv_r += 1
     return m, t, pivots
-
-
-def matrix_rank(a: QMatrix) -> int:
-    """Exact rank over the rationals."""
-    _, _, pivots = _echelonize(a, None)
-    return len(pivots)
 
 
 def solve_exact(a: QMatrix, b: Sequence[Q]) -> tuple[Q, ...]:
@@ -131,7 +124,6 @@ def solve_exact(a: QMatrix, b: Sequence[Q]) -> tuple[Q, ...]:
         raise ValueError("right-hand side length mismatch")
     m, t, pivots = _echelonize(a, b)
     rank = len(pivots)
-    assert t is not None
     for r in range(rank, a.rows):
         if t[r] != 0:
             raise InconsistentSystem(rank)
@@ -140,6 +132,7 @@ def solve_exact(a: QMatrix, b: Sequence[Q]) -> tuple[Q, ...]:
     x = [Q(0)] * a.cols
     for r in range(rank - 1, -1, -1):
         pc = pivots[r]
-        s = t[r] - sum((m[r][c] * x[c] for c in range(pc + 1, a.cols)), Q(0))
-        x[pc] = s / m[r][pc]
+        row = m[r]
+        s = t[r] - sum((row[c] * x[c] for c in range(pc + 1, a.cols) if row[c] and x[c]), Q(0))
+        x[pc] = s / row[pc]
     return tuple(x)

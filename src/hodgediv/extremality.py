@@ -78,8 +78,8 @@ class TeichParamsAbelian:
     g: int
 
     def __post_init__(self):
-        object.__setattr__(self, "chi", Q(self.chi))
-        object.__setattr__(self, "L", Q(self.L))
+        object.__setattr__(self, "chi", self.chi if isinstance(self.chi, Q) else Q(self.chi))
+        object.__setattr__(self, "L", self.L if isinstance(self.L, Q) else Q(self.L))
         if self.chi <= 0:
             raise ValueError("chi must be positive")
         if not 0 <= self.L <= self.g:
@@ -92,8 +92,9 @@ class TeichParamsQuadratic:
     c_area: Q
 
     def __post_init__(self):
-        object.__setattr__(self, "chi", Q(self.chi))
-        object.__setattr__(self, "c_area", Q(self.c_area))
+        object.__setattr__(self, "chi", self.chi if isinstance(self.chi, Q) else Q(self.chi))
+        object.__setattr__(self, "c_area",
+                           self.c_area if isinstance(self.c_area, Q) else Q(self.c_area))
         if self.chi <= 0:
             raise ValueError("chi must be positive")
         if self.c_area < 0:

@@ -11,8 +11,7 @@ Four families of spaces occur:
   delta_1m, ..., delta_{g-1}m]`` where ``delta_im`` is the boundary divisor
   whose genus-i component carries the marked point.
 * ``MbarG(g)`` -- moduli of stable curves; basis ``[lambda, delta_0, ...,
-  delta_{g//2}]``, optionally extended by the eliminable symbols ``kappa``
-  and ``delta`` (total boundary).
+  delta_{g//2}]``.
 
 A :class:`DivisorClass` is just a coefficient vector over one of these
 bases; classes over different bases never coerce silently.
@@ -29,9 +28,6 @@ PHODGE_ABELIAN = "PHodgeAbelian"
 PHODGE_QUADRATIC = "PHodgeQuadratic"
 MBAR_G1 = "MbarG1"
 MBAR_G = "MbarG"
-MBAR_G_EXT = "MbarGExt"
-
-SPACE_KINDS = (PHODGE_ABELIAN, PHODGE_QUADRATIC, MBAR_G1, MBAR_G, MBAR_G_EXT)
 
 
 @dataclass(frozen=True)
@@ -63,8 +59,6 @@ def basis(space_kind: str, g: int) -> BasisSpec:
         syms = ("lambda", "psi") + tuple(f"delta_{i}m" for i in range(1, g))
     elif space_kind == MBAR_G:
         syms = ("lambda",) + tuple(f"delta_{i}" for i in range(g // 2 + 1))
-    elif space_kind == MBAR_G_EXT:
-        syms = ("lambda",) + tuple(f"delta_{i}" for i in range(g // 2 + 1)) + ("kappa", "delta")
     else:
         raise ValueError(f"unknown space kind {space_kind!r}")
     return BasisSpec(space_kind, g, syms)

@@ -1,15 +1,16 @@
 """Test-curve catalog and the coefficient-derivation pipeline.
 
-The unknown class ``D = a*eta + b*lambda + sum c_i*delta_i`` is pinned down
-by pairing against one-parameter families with known intersection numbers:
+The unknown class ``D = a*eta + b*lambda + sum c_i*delta_i`` is fixed by
+one exact linear system whose rows pair D with one-parameter families of
+known intersection numbers:
 
 * curve ``A``: a line in a fiber of the projectivized bundle;
 * curve ``B``: a pencil of plane cubics glued to a fixed genus g-1 curve;
 * curves ``C`` (one per boundary index i >= 1): vary the attachment point of
   a genus-i component on a genus g-i component;
 * curves ``B1``, ``B2``, ``B3`` in the moduli of 1-pointed curves, which
-  decompose the pushforward of each C-curve and pair against the standard
-  Weierstrass divisor class.
+  decompose the pushforward of each C-curve and so assemble its D-pairing
+  from the standard Weierstrass divisor class.
 
 :func:`derive_theorem_class` runs the whole pipeline for any genus and must
 reproduce :func:`hodgediv.picard.class_D` exactly.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from . import picard
 from .exactq import QMatrix, solve_exact
 from .picard import (
     CurveRecord,
@@ -143,69 +143,34 @@ def compute_a_prime(g: int) -> Q:
 
 
 def derive_theorem_class(g: int) -> DivisorClass:
-    """Re-derive the full class of D from the test-curve catalog.
+    """Re-derive the class of D with one call to :func:`solve_exact`.
 
-    a comes from curve A; b via the alternate expansion of D in terms of the
-    double-zero stratum class (matching eta coefficients); each c_i (i >= 1)
-    from the C-curve equation; c_0 from the B-curve equation.  In genus 2
-    the C-route is unavailable and (c_0, c_1) are solved from the B-curve
-    equation together with the genus-2 lambda relation identifying D with
-    the double-zero stratum class.
-
-    Each C-curve is built once: its recorded D-pairing (one call to
-    :func:`rhs_C_dot_D`) fixes c_i, and the same record is reused by the
-    closing consistency check, which pairs every cataloged curve with the
-    derived class.
+    Rows, over ``[eta, lambda, delta_0, ...]``: the vectors of curves A, B
+    and (g >= 3) C_i, each equal to its known D-pairing; the stratum
+    expansion ``S_lambda a - S_eta b = S_lambda a'`` over the double-zero
+    stratum class S; in genus 2, ``r_j b + c_j = r_j S_lambda + S_delta_j``
+    for each term of the lambda relation ``lambda = sum r_j delta_j`` (D and
+    S agree under it).  That system is overdetermined, so a catalog error
+    raises ``InconsistentSystem``.
     """
     _check_genus(g)
     b_spec = basis(PHODGE_ABELIAN, g)
+    curves = [curve_A(g), curve_B(g)]
+    if g >= 3:
+        curves += [curve_C(g, i) for i in range(1, g // 2 + 1)]
+    rows = [rec.vector for rec in curves]
+    rhs = [rec.known_pairings["D"] for rec in curves]
 
-    a_rec = curve_A(g)
-    # pair(A, D) = a * (A.eta) with A.eta = -1
-    a = a_rec.known_pairings["D"] / a_rec.entry("eta")
-
-    # Alternate expansion D = a' eta + b' [stratum] + sum c'_i delta_i:
-    # matching eta coefficients gives a = a' + b' * (stratum eta coeff).
-    a_prime = compute_a_prime(g)
     stratum = class_stratum_abelian(g)
-    b_prime = (a - a_prime) / stratum.coefficient("eta")
-    b = b_prime * stratum.coefficient("lambda")
-
-    coeffs = {"eta": a, "lambda": b}
-    b_rec = curve_B(g)
-    c_recs = [curve_C(g, i) for i in range(1, g // 2 + 1)] if g >= 3 else []
-
+    s_eta, s_lambda = stratum.coefficient("eta"), stratum.coefficient("lambda")
+    rows.append(DivisorClass.from_map(b_spec, {"eta": s_lambda, "lambda": -s_eta}).coeffs)
+    rhs.append(s_lambda * compute_a_prime(g))
     if g == 2:
-        # Close the system with the B-curve equation and the genus-2
-        # lambda-relation identification of D with the stratum class:
-        #   g^2 - 1 = b + 12 c_0 - c_1
-        #   b/10 + c_0 = (stratum lambda)/10 + (stratum delta_0)
-        #   b/5  + c_1 = (stratum lambda)/5  + (stratum delta_1)
-        sl = stratum.coefficient("lambda")
-        mat = QMatrix.from_rows([[12, -1], [1, 0], [0, 1]])
-        rhs = [
-            b_rec.known_pairings["D"] - b,
-            sl / 10 + stratum.coefficient("delta_0") - b / 10,
-            sl / 5 + stratum.coefficient("delta_1") - b / 5,
-        ]
-        c0, c1 = solve_exact(mat, rhs)
-        coeffs["delta_0"] = c0
-        coeffs["delta_1"] = c1
-    else:
-        for i, c_rec in enumerate(c_recs, start=1):
-            coeffs[f"delta_{i}"] = c_rec.known_pairings["D"] / c_rec.entry(f"delta_{i}")
-        # B equation: g^2 - 1 = b + 12 c_0 - c_1
-        coeffs["delta_0"] = (b_rec.known_pairings["D"] - b + coeffs["delta_1"]) / 12
-
-    derived = DivisorClass.from_map(b_spec, coeffs)
-
-    # Internal consistency: every cataloged pairing must hold for the
-    # derived class; a failure indicates a catalog bug.
-    for rec in [a_rec, b_rec, *c_recs]:
-        if pair(rec, derived) != rec.known_pairings["D"]:
-            raise ArithmeticError(
-                f"derivation pipeline inconsistent with curve {rec.name!r} at genus {g}")
-    return derived
+        for sym, r in genus2_lambda_relation().as_map().items():
+            if r:
+                rows.append(DivisorClass.from_map(b_spec, {"lambda": r, sym: Q(1)}).coeffs)
+                rhs.append(r * s_lambda + stratum.coefficient(sym))
+    return DivisorClass(b_spec, solve_exact(QMatrix.from_rows(rows), rhs))
 
 
 def moving_curve_catalog(g: int) -> list[CurveRecord]:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -8,7 +9,6 @@ from hodgediv.exactq import (
     QMatrix,
     UnderdeterminedSystem,
     format_rational,
-    matrix_rank,
     parse_rational,
     solve_exact,
 )
@@ -41,17 +41,53 @@ def test_solve_underdetermined():
     assert exc.value.rank == 1
 
 
-def test_rank_examples():
-    assert matrix_rank(QMatrix.identity(3)) == 3
-    assert matrix_rank(QMatrix(2, 5, (Q(0),) * 10)) == 0
-    assert matrix_rank(QMatrix.from_rows([[1, 2], [2, 4]])) == 1
-
-
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         QMatrix(2, 2, (Q(1),) * 3)
     with pytest.raises(ValueError):
         solve_exact(QMatrix.identity(2), [Q(1)])
+
+
+def _sympy_matrix(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in r] for r in rows])
+
+
+def _random_rows(rng, n, m):
+    """Rational entries, about a third of them zero, so pivots need swaps."""
+    return [[Q(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() > 0.35 else Q(0)
+             for _ in range(m)] for _ in range(n)]
+
+
+def test_solve_matches_sympy_lusolve():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20181212)
+    for n in range(2, 13):
+        rows = _random_rows(rng, n, n)
+        while _sympy_matrix(sympy, rows).det() == 0:
+            rows = _random_rows(rng, n, n)
+        b = [Q(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(n)]
+        expected = _sympy_matrix(sympy, rows).LUsolve(_sympy_matrix(sympy, [[v] for v in b]))
+        assert solve_exact(QMatrix.from_rows(rows), b) == tuple(
+            Q(int(v.p), int(v.q)) for v in expected)
+
+
+def test_solve_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    rows = _random_rows(rng, 4, 6)
+    # two dependent rows on top of four random ones: rank at most 4 < 6
+    rows += [[x + 2 * y for x, y in zip(rows[0], rows[1])], [3 * x for x in rows[2]]]
+    x0 = [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(6)]
+    b = list(QMatrix.from_rows(rows).mul_vector(x0))
+    rank = _sympy_matrix(sympy, rows).rank()
+    assert rank < 6
+    with pytest.raises(UnderdeterminedSystem) as exc:
+        solve_exact(QMatrix.from_rows(rows), b)
+    assert exc.value.rank == rank
+    b[-1] += 1
+    with pytest.raises(InconsistentSystem) as exc:
+        solve_exact(QMatrix.from_rows(rows), b)
+    assert exc.value.rank == rank
 
 
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3),

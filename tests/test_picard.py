@@ -7,7 +7,6 @@ from hodgediv.picard import (
     BasisSpec,
     CurveRecord,
     DivisorClass,
-    MBAR_G_EXT,
     MBAR_G1,
     PHODGE_ABELIAN,
     PHODGE_QUADRATIC,
@@ -87,15 +86,6 @@ def test_class_D_published_vectors():
         "delta_1": Q(-21), "delta_2": Q(-28)}
     assert class_D(2).as_map() == {
         "eta": Q(-6), "lambda": Q(34), "delta_0": Q(-3), "delta_1": Q(-5)}
-
-
-def test_substitute_kappa():
-    b = basis(MBAR_G_EXT, 2)
-    kappa = DivisorClass.from_map(b, {"kappa": Q(1)})
-    replacement = DivisorClass.from_map(b, {"lambda": Q(12), "delta_0": Q(-1), "delta_1": Q(-1)})
-    out = substitute_relation(kappa, "kappa", replacement)
-    assert out.as_map() == {"lambda": Q(12), "delta_0": Q(-1), "delta_1": Q(-1),
-                            "kappa": Q(0), "delta": Q(0)}
 
 
 def test_substitute_genus2_lambda():

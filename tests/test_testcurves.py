@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
 from hodgediv import testcurves
+from hodgediv.exactq import InconsistentSystem, UnderdeterminedSystem
 from hodgediv.picard import class_D, class_W, pair
 from hodgediv.testcurves import (
     compute_a_prime,
@@ -105,6 +107,40 @@ def test_derive_pairs_each_C_curve_once(monkeypatch):
         calls.clear()
         assert derive_theorem_class(g) == class_D(g)
         assert sorted(calls) == list(range(1, g // 2 + 1))
+
+
+def test_derive_is_one_exact_solve(monkeypatch):
+    calls = []
+    solve = testcurves.solve_exact
+
+    def counting(a, b):
+        calls.append((a.rows, a.cols))
+        return solve(a, b)
+
+    monkeypatch.setattr(testcurves, "solve_exact", counting)
+    for g in range(2, 13):
+        calls.clear()
+        assert derive_theorem_class(g) == class_D(g)
+        n = g // 2 + 3
+        # square for g >= 3; genus 2 has A, B, the stratum row and two
+        # lambda-relation rows for four unknowns
+        assert calls == [(n + 1 if g == 2 else n, n)]
+
+
+def test_derive_genus2_detects_inconsistent_catalog(monkeypatch):
+    def corrupted(g):
+        rec = curve_B(g)
+        return replace(rec, known_pairings={"D": rec.known_pairings["D"] + 1})
+
+    monkeypatch.setattr(testcurves, "curve_B", corrupted)
+    with pytest.raises(InconsistentSystem):
+        derive_theorem_class(2)
+
+
+def test_derive_detects_missing_test_curve(monkeypatch):
+    monkeypatch.setattr(testcurves, "curve_C", lambda g, i: curve_C(g, 1))
+    with pytest.raises(UnderdeterminedSystem):
+        derive_theorem_class(5)
 
 
 def test_derive_genus2_route():
