@@ -119,6 +119,8 @@ class ChowElement:
         out = self.ring.one()
         for _ in range(k):
             out = out * self
+            if not out.terms:  # a zero product stays zero
+                break
         return out
 
     def is_linear(self) -> bool:

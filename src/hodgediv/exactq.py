@@ -3,14 +3,24 @@
 All arithmetic in this package is exact.  Scalars are ``fractions.Fraction``
 instances (aliased ``Q`` here), which are always kept in canonical form
 (gcd(|p|, q) = 1, q > 0) and raise ``ZeroDivisionError`` on a zero
-denominator.  Matrices are small and dense; the solver is plain Gaussian
-elimination with first-nonzero pivoting, which is deterministic and exact.
+denominator.  Matrices are small and dense.
+
+The solver eliminates fraction-free over Python ints: each row of
+``[A | b]`` is scaled to integers, and each updated row is divided by its
+content (the gcd of its entries).  That keeps every row, up to sign, the
+primitive part of the matching Bareiss row, so entries stay within the
+Hadamard bound of the minors of ``[A | b]``.  Pivoting is first-nonzero, as
+in plain Gaussian elimination, so the pivots, the rank and the exceptions
+are those of elimination over Fractions; only the solution is turned back
+into canonical Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Q = Fraction
@@ -70,10 +80,6 @@ class QMatrix:
             raise ValueError("ragged rows")
         return cls(nrows, ncols, tuple(e for r in rows for e in r))
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, tuple(Q(1) if i == j else Q(0) for i in range(n) for j in range(n)))
-
     def __getitem__(self, ij: tuple[int, int]) -> Q:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -87,34 +93,29 @@ class QMatrix:
         return tuple(sum((self[i, j] * x[j] for j in range(self.cols)), Q(0)) for i in range(self.rows))
 
 
-def _echelonize(a: QMatrix, b: Sequence[Q]):
-    """Forward elimination; returns (rows, rhs, pivot column list)."""
-    m = [list(a.row(i)) for i in range(a.rows)]
-    t = [Q(v) for v in b]
-    pivots: list[int] = []
-    piv_r = 0
-    for piv_c in range(a.cols):
-        hit = next((r for r in range(piv_r, a.rows) if m[r][piv_c]), None)
-        if hit is None:
-            continue
-        m[piv_r], m[hit] = m[hit], m[piv_r]
-        t[piv_r], t[hit] = t[hit], t[piv_r]
-        fp = m[piv_r][piv_c]
-        for r in range(piv_r + 1, a.rows):
-            fr = m[r][piv_c]
-            if not fr:
-                continue
-            ratio = fr / fp
-            for c in range(piv_c, a.cols):
-                m[r][c] -= m[piv_r][c] * ratio
-            t[r] -= t[piv_r] * ratio
-        pivots.append(piv_c)
-        piv_r += 1
-    return m, t, pivots
-
-
 def solve_exact(a: QMatrix, b: Sequence[Q]) -> tuple[Q, ...]:
-    """Solve A x = b exactly.
+    """Solve A x = b exactly by fraction-free elimination over Python ints.
+
+    Each row of ``[A | b]`` is scaled to integers by the lcm of the
+    denominators of its nonzero entries; only the nonzero entries are
+    converted.  Pivoting is first-nonzero: the pivot of a column is the
+    first remaining row with a nonzero entry there, and rows whose entry in
+    the pivot column is 0 are skipped.  Row r is updated as
+    ``fp*row_r - fr*row_p`` (fp, fr divided by their gcd) and then divided
+    by its content, the gcd of its entries.
+
+    Every row stays a nonzero multiple of the row that elimination over
+    Fractions would hold, so the pivots and the rank are the same.  Dividing
+    out the content makes the row, up to sign, the primitive part of the
+    matching Bareiss row, whose entries are minors of the scaled ``[A | b]``:
+    they stay within the Hadamard bound instead of growing exponentially
+    with the number of steps.  Plain Bareiss would need no gcds but rescales
+    every remaining row at every pivot, which costs more on the near-diagonal
+    systems that deriving D poses.
+
+    Back-substitution, O(n^2), keeps the solution as integer numerators
+    over one common denominator, the lcm of the reduced denominators found
+    so far, and returns canonical Fractions.
 
     Raises :class:`InconsistentSystem` when no solution exists and
     :class:`UnderdeterminedSystem` when the solution is not unique; both
@@ -122,17 +123,57 @@ def solve_exact(a: QMatrix, b: Sequence[Q]) -> tuple[Q, ...]:
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    m, t, pivots = _echelonize(a, b)
-    rank = len(pivots)
-    for r in range(rank, a.rows):
-        if t[r] != 0:
-            raise InconsistentSystem(rank)
-    if rank < a.cols:
+    ncols = a.cols
+    m = []
+    for i, v in enumerate(b):
+        row = a.row(i) + (v if isinstance(v, Q) else Q(v),)
+        nonzero = [j for j, e in enumerate(row) if e]
+        den = lcm(*[row[j].denominator for j in nonzero])
+        ints = [0] * (ncols + 1)
+        for j in nonzero:
+            ints[j] = row[j].numerator * (den // row[j].denominator)
+        m.append(ints)
+    rank = 0
+    for piv_c in range(ncols):
+        hit = next((r for r in range(rank, a.rows) if m[r][piv_c]), None)
+        if hit is None:
+            continue
+        m[rank], m[hit] = m[hit], m[rank]
+        prow = m[rank]
+        fp = prow[piv_c]
+        for r in range(rank + 1, a.rows):
+            row = m[r]
+            fr = row[piv_c]
+            if not fr:
+                continue
+            g = gcd(fp, fr)
+            sp, sr = fp // g, fr // g
+            # columns up to piv_c become 0 in the updated row
+            tail = [sp * x - sr * y for x, y in zip(row[piv_c + 1:], prow[piv_c + 1:])]
+            content = gcd(*tail)
+            if content > 1:
+                tail = [x // content for x in tail]
+            m[r] = [0] * (piv_c + 1) + tail
+        rank += 1
+    if any(m[r][ncols] for r in range(rank, a.rows)):
+        raise InconsistentSystem(rank)
+    if rank < ncols:
         raise UnderdeterminedSystem(rank)
-    x = [Q(0)] * a.cols
-    for r in range(rank - 1, -1, -1):
-        pc = pivots[r]
+    # full column rank: the pivot of row r sits in column r.  x_c = p[c] / q
+    # for every solved c, over one common denominator q > 0.
+    p = [0] * ncols
+    q = 1
+    for r in range(ncols - 1, -1, -1):
         row = m[r]
-        s = t[r] - sum((row[c] * x[c] for c in range(pc + 1, a.cols) if row[c] and x[c]), Q(0))
-        x[pc] = s / row[pc]
-    return tuple(x)
+        num = row[ncols] * q - sum(map(mul, row[r + 1:ncols], p[r + 1:]))
+        den = row[r] * q
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        if den < 0:
+            num, den = -num, -den
+        k = den // gcd(q, den)
+        if k > 1:
+            p = [k * v for v in p]
+            q *= k
+        p[r] = num * (q // den)
+    return tuple(Q(v, q) for v in p)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -57,6 +58,25 @@ def test_integrate_worked_product():
 def test_integrate_normalization():
     assert chow_integrate(ALPHA * BETA ** 3) == 1
     assert chow_integrate(BETA ** 4) == 0
+
+
+def test_integrate_matches_sympy_expansion():
+    """The degree of a product of N = sum(n_j) linear forms is the coefficient
+    of prod h_j^{n_j} in the plain, untruncated polynomial expansion."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1812)
+    for _ in range(40):
+        dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        ring = MultiProjRing(dims)
+        h = sympy.symbols(f"h0:{len(dims)}")
+        product, poly = ring.one(), sympy.Integer(1)
+        for _ in range(sum(dims)):
+            coeffs = [rng.randint(-5, 5) for _ in dims]
+            product = product * linear_class(ring, coeffs)
+            poly *= sum(c * hj for c, hj in zip(coeffs, h))
+        top = sympy.Poly(sympy.expand(poly), *h).coeff_monomial(
+            sympy.Mul(*(hj**n for hj, n in zip(h, dims))))
+        assert chow_integrate(product) == Q(int(top))
 
 
 @given(small_elements(RING), small_elements(RING), small_elements(RING))

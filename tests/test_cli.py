@@ -89,6 +89,13 @@ def test_chow_eval_bad_dims_exits_2(runner, dims):
         f"Error: --dims must be comma-separated positive integers, got {dims!r}")
 
 
+def test_chow_eval_huge_power_of_nilpotent_class(runner):
+    # a^2 = 0 on P^1, so the power must stop multiplying once it reaches 0
+    result = runner.invoke(main, ["chow", "eval", "a^1000000000", "--dims", "1"])
+    assert result.exit_code == 0
+    assert result.output.strip() == "0"
+
+
 def test_teich_pair_quadratic(runner):
     result = runner.invoke(main, ["teich", "pair", "--kind", "quadratic",
                                   "--genus", "3", "--chi", "2", "--carea", "1/2"])

@@ -16,8 +16,38 @@ from hodgediv.exactq import (
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
+def reference_solve(a, b):
+    """Gaussian elimination over Fractions with first-nonzero pivoting."""
+    m = [list(a.row(i)) + [Q(v)] for i, v in enumerate(b)]
+    rank = 0
+    for c in range(a.cols):
+        hit = next((r for r in range(rank, a.rows) if m[r][c]), None)
+        if hit is None:
+            continue
+        m[rank], m[hit] = m[hit], m[rank]
+        for r in range(rank + 1, a.rows):
+            ratio = m[r][c] / m[rank][c]
+            m[r] = [x - ratio * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    if any(m[r][-1] for r in range(rank, a.rows)):
+        raise InconsistentSystem(rank)
+    if rank < a.cols:
+        raise UnderdeterminedSystem(rank)
+    x = [Q(0)] * a.cols
+    for r in reversed(range(rank)):
+        x[r] = (m[r][-1] - sum(m[r][c] * x[c] for c in range(r + 1, a.cols))) / m[r][r]
+    return tuple(x)
+
+
+def _outcome(solve, a, b):
+    try:
+        return solve(a, b)
+    except (InconsistentSystem, UnderdeterminedSystem) as exc:
+        return type(exc), exc.rank
+
+
 def test_solve_identity():
-    a = QMatrix.identity(2)
+    a = QMatrix.from_rows([[1, 0], [0, 1]])
     assert solve_exact(a, [Q(3), Q(-5, 2)]) == (Q(3), Q(-5, 2))
 
 
@@ -45,7 +75,63 @@ def test_dimension_mismatch():
     with pytest.raises(ValueError):
         QMatrix(2, 2, (Q(1),) * 3)
     with pytest.raises(ValueError):
-        solve_exact(QMatrix.identity(2), [Q(1)])
+        solve_exact(QMatrix.from_rows([[1, 0], [0, 1]]), [Q(1)])
+
+
+def test_solve_empty_system():
+    assert solve_exact(QMatrix.from_rows([]), []) == ()
+
+
+def test_solve_no_unknowns_nonzero_rhs():
+    with pytest.raises(InconsistentSystem) as exc:
+        solve_exact(QMatrix.from_rows([[], []]), [Q(0), Q(1, 3)])
+    assert exc.value.rank == 0
+
+
+# entries: about a third zero, the rest small rationals
+entries = st.one_of(st.just(Q(0)), rationals, rationals)
+
+
+@st.composite
+def systems(draw):
+    """Rectangular [A | b] from 1x1 to 6x6, some rows combinations of others."""
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 6))
+    nfree = draw(st.integers(1, nrows))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nfree, max_size=nfree))
+    while len(rows) < nrows:
+        i, j = draw(st.integers(0, nfree - 1)), draw(st.integers(0, nfree - 1))
+        k = draw(rationals)
+        rows.append([x + k * y for x, y in zip(rows[i], rows[j])])
+    rhs = draw(st.sampled_from(["int", "fraction", "consistent"]))
+    if rhs == "int":
+        b = draw(st.lists(st.integers(-20, 20), min_size=nrows, max_size=nrows))
+    elif rhs == "fraction":
+        b = draw(st.lists(rationals, min_size=nrows, max_size=nrows))
+    else:
+        x0 = draw(st.lists(rationals, min_size=ncols, max_size=ncols))
+        b = list(QMatrix.from_rows(rows).mul_vector(x0))
+    return QMatrix.from_rows(rows), b
+
+
+@given(systems())
+def test_solve_matches_fraction_elimination(system):
+    """Same solution as elimination over Fractions, or the same exception and rank."""
+    a, b = system
+    assert _outcome(solve_exact, a, b) == _outcome(reference_solve, a, b)
+
+
+def test_solve_diagonally_dominant_sweep():
+    """The benchmark's shape: integer A, strictly diagonally dominant, A x0 = b."""
+    rng = random.Random(20181212)
+    for n in range(4, 41):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        for j, row in enumerate(rows):
+            row[j] = rng.choice((-1, 1)) * (sum(abs(v) for v in row) + rng.randint(1, 9))
+        x0 = tuple(Q(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n))
+        b = [sum(e * x for e, x in zip(row, x0)) for row in rows]
+        assert solve_exact(QMatrix.from_rows(rows), b) == x0
 
 
 def _sympy_matrix(sympy, rows):
