@@ -1,11 +1,13 @@
 """Human-readable catalog of divisor classes and test curves.
 
 The catalog is a JSON file with one record per class or curve: space kind,
-genus, and a symbol -> coefficient map with every rational rendered as
-``p/q``.  The file location defaults to ``hodgediv_catalog.json`` in the
-working directory and can be overridden with the ``HODGEDIV_CATALOG``
-environment variable.  The CLI regenerates the file deterministically, so
-it can be kept under version control and diffed.
+genus, and a symbol -> coefficient map over the whole basis, in basis
+order, with every rational rendered as ``p/q``.  Only the nonzero entries
+are formatted and parsed; the others read ``0``.  The file location
+defaults to ``hodgediv_catalog.json`` in the working directory and can be
+overridden with the ``HODGEDIV_CATALOG`` environment variable.  The CLI
+regenerates the file deterministically, so it can be kept under version
+control and diffed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 from . import picard, testcurves
 from .exactq import format_rational, parse_rational
-from .picard import CurveRecord, DivisorClass, basis
+from .picard import BasisSpec, CurveRecord, DivisorClass, basis
 
 ENV_VAR = "HODGEDIV_CATALOG"
 DEFAULT_FILENAME = "hodgediv_catalog.json"
@@ -27,13 +29,26 @@ def catalog_path() -> Path:
     return Path(os.environ.get(ENV_VAR, DEFAULT_FILENAME))
 
 
+def _render(b: BasisSpec, nonzero: dict[int, Q]) -> dict[str, str]:
+    """symbol -> "p/q" over the whole basis, in basis order; zeros read "0"."""
+    out = dict.fromkeys(b.symbols, "0")
+    for i, v in nonzero.items():
+        out[b.symbols[i]] = format_rational(v)
+    return out
+
+
+def _parse(b: BasisSpec, data: dict[str, str]) -> dict[int, Q]:
+    """Inverse of :func:`_render` (position -> value); a missing symbol is a KeyError."""
+    return {i: parse_rational(v) for i, s in enumerate(b.symbols) if (v := data[s]) != "0"}
+
+
 def _class_record(name: str, c: DivisorClass, note: str) -> dict:
     return {
         "record": "class",
         "name": name,
         "space": c.basis.space_kind,
         "genus": c.basis.genus,
-        "coefficients": {s: format_rational(v) for s, v in zip(c.basis.symbols, c.coeffs)},
+        "coefficients": _render(c.basis, c.nonzero),
         "note": note,
     }
 
@@ -44,8 +59,7 @@ def _curve_record(c: CurveRecord, note: str) -> dict:
         "name": c.name,
         "space": c.basis.space_kind,
         "genus": c.basis.genus,
-        "vector": ({s: format_rational(v) for s, v in zip(c.basis.symbols, c.vector)}
-                   if c.vector is not None else None),
+        "vector": _render(c.basis, c.nonzero) if c.nonzero is not None else None,
         "known_pairings": {k: format_rational(v) for k, v in sorted(c.known_pairings.items())},
         "note": note,
     }
@@ -100,14 +114,13 @@ def read_catalog(path: Path | None = None) -> list[dict]:
 
 def record_to_class(rec: dict) -> DivisorClass:
     b = basis(rec["space"], rec["genus"])
-    return DivisorClass(b, tuple(parse_rational(rec["coefficients"][s]) for s in b.symbols))
+    return DivisorClass(b, nonzero=_parse(b, rec["coefficients"]))
 
 
 def record_to_curve(rec: dict) -> CurveRecord:
     b = basis(rec["space"], rec["genus"])
-    vec = (tuple(parse_rational(rec["vector"][s]) for s in b.symbols)
-           if rec["vector"] is not None else None)
     total = parse_rational(rec["total_delta"]) if "total_delta" in rec else None
-    return CurveRecord(rec["name"], b, vec,
+    return CurveRecord(rec["name"], b, None,
                        {k: parse_rational(v) for k, v in rec["known_pairings"].items()},
-                       total)
+                       total,
+                       nonzero=_parse(b, rec["vector"]) if rec["vector"] is not None else None)

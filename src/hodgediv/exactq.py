@@ -3,7 +3,8 @@
 All arithmetic in this package is exact.  Scalars are ``fractions.Fraction``
 instances (aliased ``Q`` here), which are always kept in canonical form
 (gcd(|p|, q) = 1, q > 0) and raise ``ZeroDivisionError`` on a zero
-denominator.  Matrices are small and dense.
+denominator.  A matrix is stored by rows, each a map column -> nonzero
+entry in column order, as :mod:`hodgediv.picard` stores classes and curves.
 
 The solver eliminates fraction-free over Python ints: each row of
 ``[A | b]`` is scaled to integers, and each updated row is divided by its
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Mapping, Sequence
 
 Q = Fraction
 
@@ -56,49 +57,63 @@ def parse_rational(s: str) -> Q:
     return Q(s.strip())
 
 
+ZERO = Q(0)
+
+
+def _nonzero(size: int, dense: Sequence | None = None,
+             nonzero: Mapping[int, object] | None = None) -> dict[int, Q]:
+    """The stored form of a vector of length ``size``, given dense or as a
+    position map: position -> nonzero Fraction, in position order."""
+    if nonzero is None:
+        if len(dense) != size:
+            raise ValueError(f"{len(dense)} entries given for a vector of length {size}")
+        nonzero = dict(enumerate(dense))
+    elif dense is not None:
+        raise TypeError("entries given both dense and by position")
+    out = {i: q for i, v in sorted(nonzero.items()) if (q := v if isinstance(v, Q) else Q(v))}
+    if out and not 0 <= min(out) <= max(out) < size:
+        raise ValueError(f"entry position outside 0..{size - 1}")
+    return out
+
+
 @dataclass(frozen=True)
 class QMatrix:
-    """Dense rational matrix, row-major entries."""
+    """Rational matrix stored by rows, each a map column -> nonzero entry."""
 
     rows: int
     cols: int
-    entries: tuple[Q, ...]
+    nonzero_rows: tuple[dict[int, Q], ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative dimensions")
-        if self.rows * self.cols != len(self.entries):
-            raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries",
-                           tuple(e if isinstance(e, Q) else Q(e) for e in self.entries))
+        if len(self.nonzero_rows) != self.rows:
+            raise ValueError("row count does not match dimensions")
+        object.__setattr__(self, "nonzero_rows",
+                           tuple(_nonzero(self.cols, nonzero=r) for r in self.nonzero_rows))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
+        """The matrix with the given dense rows."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(e for r in rows for e in r))
-
-    def __getitem__(self, ij: tuple[int, int]) -> Q:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Q, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return cls(nrows, ncols, tuple(dict(enumerate(r)) for r in rows))
 
     def mul_vector(self, x: Sequence[Q]) -> tuple[Q, ...]:
         if len(x) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((self[i, j] * x[j] for j in range(self.cols)), Q(0)) for i in range(self.rows))
+        return tuple(sum((v * x[j] for j, v in r.items()), ZERO) for r in self.nonzero_rows)
 
 
 def solve_exact(a: QMatrix, b: Sequence[Q]) -> tuple[Q, ...]:
     """Solve A x = b exactly by fraction-free elimination over Python ints.
 
-    Each row of ``[A | b]`` is scaled to integers by the lcm of the
-    denominators of its nonzero entries; only the nonzero entries are
-    converted.  Pivoting is first-nonzero: the pivot of a column is the
+    The rows of A are taken in as stored, column -> nonzero entry, so no
+    zero entry of A is ever tested or converted: each row of ``[A | b]``
+    becomes a dense int list, scaled by the lcm of the denominators of its
+    nonzero entries.  Pivoting is first-nonzero: the pivot of a column is the
     first remaining row with a nonzero entry there, and rows whose entry in
     the pivot column is 0 are skipped.  Row r is updated as
     ``fp*row_r - fr*row_p`` (fp, fr divided by their gcd) and then divided
@@ -125,13 +140,12 @@ def solve_exact(a: QMatrix, b: Sequence[Q]) -> tuple[Q, ...]:
         raise ValueError("right-hand side length mismatch")
     ncols = a.cols
     m = []
-    for i, v in enumerate(b):
-        row = a.row(i) + (v if isinstance(v, Q) else Q(v),)
-        nonzero = [j for j, e in enumerate(row) if e]
-        den = lcm(*[row[j].denominator for j in nonzero])
-        ints = [0] * (ncols + 1)
-        for j in nonzero:
-            ints[j] = row[j].numerator * (den // row[j].denominator)
+    for row, v in zip(a.nonzero_rows, b):
+        v = v if isinstance(v, Q) else Q(v)
+        den = lcm(v.denominator, *[e.denominator for e in row.values()])
+        ints = [0] * ncols + [v.numerator * (den // v.denominator)]
+        for j, e in row.items():
+            ints[j] = e.numerator * (den // e.denominator)
         m.append(ints)
     rank = 0
     for piv_c in range(ncols):

@@ -13,16 +13,21 @@ Four families of spaces occur:
 * ``MbarG(g)`` -- moduli of stable curves; basis ``[lambda, delta_0, ...,
   delta_{g//2}]``.
 
-A :class:`DivisorClass` is just a coefficient vector over one of these
-bases; classes over different bases never coerce silently.
+A :class:`DivisorClass` is a coefficient vector over one of these bases,
+and a :class:`CurveRecord` an intersection vector; both are stored by their
+nonzero entries (basis position -> Fraction), and the dense tuple is a view
+built on first use.  Classes over different bases never coerce silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
+from typing import Mapping, Sequence
+
+from .exactq import ZERO, _nonzero
 
 PHODGE_ABELIAN = "PHodgeAbelian"
 PHODGE_QUADRATIC = "PHodgeQuadratic"
@@ -64,52 +69,58 @@ def basis(space_kind: str, g: int) -> BasisSpec:
     return BasisSpec(space_kind, g, syms)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    basis: BasisSpec
-    coeffs: tuple[Q, ...]
+def _dense(b: BasisSpec, nonzero: dict[int, Q]) -> tuple[Q, ...]:
+    return tuple(nonzero.get(i, ZERO) for i in range(len(b.symbols)))
 
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.basis.symbols):
-            raise ValueError("coefficient count does not match basis size")
-        object.__setattr__(self, "coeffs",
-                           tuple(c if isinstance(c, Q) else Q(c) for c in self.coeffs))
+
+@dataclass(frozen=True, init=False)
+class DivisorClass:
+    """A divisor class over ``basis``, built from dense ``coeffs`` or from a
+    position map, stored as ``nonzero`` (position -> nonzero Fraction, in
+    basis order); ``coeffs`` is the dense tuple, built on first use."""
+
+    basis: BasisSpec
+    nonzero: dict[int, Q]
+
+    def __init__(self, basis: BasisSpec, coeffs: Sequence | None = None, *,
+                 nonzero: Mapping[int, object] | None = None):
+        # frozen: the fields are set once, here
+        vars(self).update(basis=basis, nonzero=_nonzero(len(basis.symbols), coeffs, nonzero))
+
+    def __hash__(self):
+        return hash((self.basis, tuple(self.nonzero.items())))
+
+    @cached_property
+    def coeffs(self) -> tuple[Q, ...]:
+        return _dense(self.basis, self.nonzero)
 
     @classmethod
     def from_map(cls, b: BasisSpec, coeffs: dict[str, Q]) -> "DivisorClass":
-        vec = [Q(0)] * len(b.symbols)
-        for sym, c in coeffs.items():
-            vec[b.index(sym)] = c
-        return cls(b, tuple(vec))
-
-    @classmethod
-    def zero(cls, b: BasisSpec) -> "DivisorClass":
-        return cls(b, (Q(0),) * len(b.symbols))
+        return cls(b, nonzero={b.index(sym): c for sym, c in coeffs.items()})
 
     def coefficient(self, symbol: str) -> Q:
-        return self.coeffs[self.basis.index(symbol)]
+        return self.nonzero.get(self.basis.index(symbol), ZERO)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def _check_basis(self, other: "DivisorClass"):
-        if self.basis != other.basis:
-            raise ValueError("divisor classes live over different bases")
+        return not self.nonzero
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_basis(other)
-        return DivisorClass(self.basis, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.basis != other.basis:
+            raise ValueError("divisor classes live over different bases")
+        total = dict(self.nonzero)
+        for i, v in other.nonzero.items():
+            total[i] = total.get(i, ZERO) + v
+        return DivisorClass(self.basis, nonzero=total)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_basis(other)
-        return DivisorClass(self.basis, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.basis, tuple(-a for a in self.coeffs))
+        return DivisorClass(self.basis, nonzero={i: -a for i, a in self.nonzero.items()})
 
     def scale(self, t) -> "DivisorClass":
         t = Q(t)
-        return DivisorClass(self.basis, tuple(t * a for a in self.coeffs))
+        return DivisorClass(self.basis, nonzero={i: t * a for i, a in self.nonzero.items()})
 
     __rmul__ = scale
     __mul__ = scale
@@ -118,15 +129,16 @@ class DivisorClass:
         return dict(zip(self.basis.symbols, self.coeffs))
 
     def __str__(self) -> str:
-        terms = [f"({c})*{s}" for s, c in zip(self.basis.symbols, self.coeffs) if c != 0]
-        return " + ".join(terms) if terms else "0"
+        return " + ".join(f"({c})*{self.basis.symbols[i]}" for i, c in self.nonzero.items()) or "0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CurveRecord:
     """A one-parameter family recorded by its intersection numbers.
 
-    ``vector`` pairs against explicit basis coefficients; ``total_delta``
+    The intersection vector pairs against explicit basis coefficients; it
+    is stored like a class's (``nonzero``, with the dense view ``vector``),
+    and both are None when the record commits no vector.  ``total_delta``
     instead records a single pairing with the total boundary, usable only
     against classes whose boundary coefficients are all equal.  A record
     may carry known pairings with named divisors whose class is unknown
@@ -136,48 +148,55 @@ class CurveRecord:
 
     name: str
     basis: BasisSpec
-    vector: tuple[Q, ...] | None
-    known_pairings: dict[str, Q] = field(default_factory=dict)
-    total_delta: Q | None = None
+    nonzero: dict[int, Q] | None
+    known_pairings: dict[str, Q]
+    total_delta: Q | None
 
-    def __post_init__(self):
-        if self.vector is not None:
-            if len(self.vector) != len(self.basis.symbols):
-                raise ValueError("intersection vector length does not match basis size")
-            object.__setattr__(self, "vector",
-                               tuple(v if isinstance(v, Q) else Q(v) for v in self.vector))
-        if self.total_delta is not None and not isinstance(self.total_delta, Q):
-            object.__setattr__(self, "total_delta", Q(self.total_delta))
+    def __init__(self, name: str, basis: BasisSpec, vector: Sequence | None = None,
+                 known_pairings: dict[str, Q] | None = None, total_delta=None, *,
+                 nonzero: Mapping[int, object] | None = None):
+        committed = vector is not None or nonzero is not None
+        vars(self).update(
+            name=name, basis=basis,
+            nonzero=_nonzero(len(basis.symbols), vector, nonzero) if committed else None,
+            known_pairings={} if known_pairings is None else known_pairings,
+            total_delta=(total_delta if total_delta is None or isinstance(total_delta, Q)
+                         else Q(total_delta)))
+
+    @cached_property
+    def vector(self) -> tuple[Q, ...] | None:
+        return None if self.nonzero is None else _dense(self.basis, self.nonzero)
 
     @classmethod
     def from_map(cls, name: str, b: BasisSpec, entries: dict[str, Q],
                  known_pairings: dict[str, Q] | None = None,
                  total_delta=None) -> "CurveRecord":
-        vec = [Q(0)] * len(b.symbols)
-        for sym, c in entries.items():
-            vec[b.index(sym)] = c
-        return cls(name, b, tuple(vec), dict(known_pairings or {}), total_delta)
+        return cls(name, b, None, dict(known_pairings or {}), total_delta,
+                   nonzero={b.index(sym): c for sym, c in entries.items()})
 
     def entry(self, symbol: str) -> Q:
-        if self.vector is None:
+        if self.nonzero is None:
             raise ValueError(f"curve {self.name!r} has no committed intersection vector")
-        return self.vector[self.basis.index(symbol)]
+        return self.nonzero.get(self.basis.index(symbol), ZERO)
 
 
 def pair(curve: CurveRecord, c: DivisorClass) -> Q:
     """Intersection number of a recorded curve with a divisor class.
 
-    Exact, with one reduction: the products over the nonzero entries are
-    summed as an integer numerator over the running lcm of their
-    denominators, and a single Fraction is built at the end.
+    Walks the curve's nonzero entries and looks each one up in the class.
+    Exact, with one reduction: the products are summed as an integer
+    numerator over the running lcm of their denominators, and a single
+    Fraction is built at the end.
     """
     if curve.basis != c.basis:
         raise ValueError("curve and class live over different bases")
-    if curve.vector is None:
+    if curve.nonzero is None:
         raise ValueError(f"curve {curve.name!r} has no committed intersection vector")
-    terms = [(v, a) for v, a in zip(curve.vector, c.coeffs) if v and a]
+    coeffs = c.nonzero
+    terms = [(v, coeffs[i]) for i, v in curve.nonzero.items() if i in coeffs]
     if curve.total_delta is not None:
-        deltas = [a for s, a in zip(c.basis.symbols, c.coeffs) if s.startswith("delta_")]
+        deltas = [coeffs.get(i, ZERO) for i, s in enumerate(c.basis.symbols)
+                  if s.startswith("delta_")]
         if any(a != deltas[0] for a in deltas[1:]):
             raise ValueError(
                 "curve records only a total boundary pairing but the class has "
@@ -212,9 +231,8 @@ def substitute_relation(c: DivisorClass, eliminated_symbol: str,
     if t == 0:
         return c
     idx = c.basis.index(eliminated_symbol)
-    stripped = list(c.coeffs)
-    stripped[idx] = Q(0)
-    return DivisorClass(c.basis, tuple(stripped)) + replacement.scale(t)
+    stripped = DivisorClass(c.basis, nonzero={i: a for i, a in c.nonzero.items() if i != idx})
+    return stripped + replacement.scale(t)
 
 
 # ---------------------------------------------------------------------------

@@ -145,32 +145,35 @@ def compute_a_prime(g: int) -> Q:
 def derive_theorem_class(g: int) -> DivisorClass:
     """Re-derive the class of D with one call to :func:`solve_exact`.
 
-    Rows, over ``[eta, lambda, delta_0, ...]``: the vectors of curves A, B
-    and (g >= 3) C_i, each equal to its known D-pairing; the stratum
-    expansion ``S_lambda a - S_eta b = S_lambda a'`` over the double-zero
-    stratum class S; in genus 2, ``r_j b + c_j = r_j S_lambda + S_delta_j``
-    for each term of the lambda relation ``lambda = sum r_j delta_j`` (D and
-    S agree under it).  That system is overdetermined, so a catalog error
-    raises ``InconsistentSystem``.
+    Rows, over ``[eta, lambda, delta_0, ...]`` and in this order: the
+    vectors of curves A and B, each equal to its known D-pairing; the
+    stratum expansion ``S_lambda a - S_eta b = S_lambda a'`` over the
+    double-zero stratum class S; in genus 2, ``r_j b + c_j = r_j S_lambda +
+    S_delta_j`` for each term of the lambda relation ``lambda = sum r_j
+    delta_j`` (D and S agree under it; the system is then overdetermined,
+    so a catalog error raises ``InconsistentSystem``); for g >= 3 the
+    vectors of curves C_1, ..., C_{g//2}.  In that order each column's pivot
+    is the first remaining row.  Rows are passed as their nonzero entries.
     """
     _check_genus(g)
     b_spec = basis(PHODGE_ABELIAN, g)
     curves = [curve_A(g), curve_B(g)]
-    if g >= 3:
-        curves += [curve_C(g, i) for i in range(1, g // 2 + 1)]
-    rows = [rec.vector for rec in curves]
+    rows = [rec.nonzero for rec in curves]
     rhs = [rec.known_pairings["D"] for rec in curves]
-
     stratum = class_stratum_abelian(g)
     s_eta, s_lambda = stratum.coefficient("eta"), stratum.coefficient("lambda")
-    rows.append(DivisorClass.from_map(b_spec, {"eta": s_lambda, "lambda": -s_eta}).coeffs)
+    rows.append(DivisorClass.from_map(b_spec, {"eta": s_lambda, "lambda": -s_eta}).nonzero)
     rhs.append(s_lambda * compute_a_prime(g))
     if g == 2:
-        for sym, r in genus2_lambda_relation().as_map().items():
-            if r:
-                rows.append(DivisorClass.from_map(b_spec, {"lambda": r, sym: Q(1)}).coeffs)
-                rhs.append(r * s_lambda + stratum.coefficient(sym))
-    return DivisorClass(b_spec, solve_exact(QMatrix.from_rows(rows), rhs))
+        for j, r in genus2_lambda_relation().nonzero.items():
+            sym = b_spec.symbols[j]
+            rows.append(DivisorClass.from_map(b_spec, {"lambda": r, sym: Q(1)}).nonzero)
+            rhs.append(r * s_lambda + stratum.coefficient(sym))
+    curves = [curve_C(g, i) for i in range(1, g // 2 + 1)] if g >= 3 else []
+    rows += [rec.nonzero for rec in curves]
+    rhs += [rec.known_pairings["D"] for rec in curves]
+    a = QMatrix(len(rows), len(b_spec.symbols), tuple(rows))
+    return DivisorClass(b_spec, solve_exact(a, rhs))
 
 
 def moving_curve_catalog(g: int) -> list[CurveRecord]:

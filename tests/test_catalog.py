@@ -1,8 +1,25 @@
 import json
+from dataclasses import replace
+from fractions import Fraction as Q
+
+import pytest
 
 from hodgediv import catalog
-from hodgediv.picard import class_D, pair
-from hodgediv.testcurves import curve_B
+from hodgediv.picard import (
+    DivisorClass,
+    class_D,
+    class_W,
+    class_stratum_abelian,
+    class_stratum_quadratic,
+    pair,
+)
+from hodgediv.testcurves import (
+    curve_A,
+    curve_B,
+    curve_C,
+    curves_B1_B2_B3,
+    moving_curve_catalog,
+)
 
 
 def test_build_catalog_contains_expected_records():
@@ -58,3 +75,51 @@ def test_rationals_serialized_as_strings(tmp_path, monkeypatch):
         data = rec.get("coefficients") or rec.get("vector") or {}
         for value in data.values():
             assert isinstance(value, str)
+
+
+def _built_objects(g):
+    """The objects build_catalog(g) renders, in its order and with its names."""
+    yield from (class_D(g), class_stratum_abelian(g), class_stratum_quadratic(g), class_W(g),
+                curve_A(g), curve_B(g))
+    if g >= 3:
+        for i in range(1, g // 2 + 1):
+            yield curve_C(g, i)
+            for rec in curves_B1_B2_B3(g, i):
+                yield replace(rec, name=f"{rec.name}(i={i})")
+    yield from moving_curve_catalog(g)
+
+
+def _read_back(rec):
+    return (catalog.record_to_class if rec["record"] == "class" else catalog.record_to_curve)(rec)
+
+
+def test_records_read_back_as_the_built_objects():
+    for g in range(2, 41):
+        records = catalog.build_catalog(g)
+        assert [_read_back(rec) for rec in records] == list(_built_objects(g))
+        for rec in records:  # every basis symbol is listed, in basis order
+            data = rec["coefficients"] if rec["record"] == "class" else rec["vector"]
+            if data is not None:
+                assert tuple(data) == _read_back(rec).basis.symbols
+
+
+def test_hand_edited_zero_parses_as_zero():
+    records = catalog.build_catalog(3)
+    d = next(r for r in records if r["name"] == "D")
+    edited = catalog.record_to_class({**d, "coefficients": {**d["coefficients"], "eta": "0/7"}})
+    assert edited == class_D(3) - DivisorClass.from_map(edited.basis, {"eta": Q(-24)})
+    assert 0 not in edited.nonzero
+    b = next(r for r in records if r["name"] == "B")
+    curve = catalog.record_to_curve({**b, "vector": {**b["vector"], "eta": "0/7", "delta_1": " -1 "}})
+    assert curve == curve_B(3) and 0 not in curve.nonzero
+
+
+def test_missing_symbol_is_a_key_error():
+    records = catalog.build_catalog(3)
+    d = next(r for r in records if r["name"] == "D")
+    with pytest.raises(KeyError):
+        catalog.record_to_class({**d, "coefficients": {k: v for k, v in d["coefficients"].items()
+                                                       if k != "delta_1"}})
+    b = next(r for r in records if r["name"] == "B")
+    with pytest.raises(KeyError):  # a zero entry may not be left out either
+        catalog.record_to_curve({**b, "vector": {k: v for k, v in b["vector"].items() if k != "eta"}})

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
+from hodgediv import testcurves
 from hodgediv.exactq import (
     InconsistentSystem,
     QMatrix,
@@ -12,13 +13,15 @@ from hodgediv.exactq import (
     parse_rational,
     solve_exact,
 )
+from hodgediv.picard import class_D
+from hodgediv.testcurves import derive_theorem_class
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
 def reference_solve(a, b):
     """Gaussian elimination over Fractions with first-nonzero pivoting."""
-    m = [list(a.row(i)) + [Q(v)] for i, v in enumerate(b)]
+    m = [[r.get(c, Q(0)) for c in range(a.cols)] + [Q(v)] for r, v in zip(a.nonzero_rows, b)]
     rank = 0
     for c in range(a.cols):
         hit = next((r for r in range(rank, a.rows) if m[r][c]), None)
@@ -73,7 +76,9 @@ def test_solve_underdetermined():
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        QMatrix(2, 2, (Q(1),) * 3)
+        QMatrix(2, 2, ({0: Q(1)},))
+    with pytest.raises(ValueError):
+        QMatrix(2, 2, ({0: Q(1)}, {2: Q(1)}))
     with pytest.raises(ValueError):
         solve_exact(QMatrix.from_rows([[1, 0], [0, 1]]), [Q(1)])
 
@@ -112,14 +117,49 @@ def systems(draw):
     else:
         x0 = draw(st.lists(rationals, min_size=ncols, max_size=ncols))
         b = list(QMatrix.from_rows(rows).mul_vector(x0))
-    return QMatrix.from_rows(rows), b
+    return rows, b
 
 
 @given(systems())
 def test_solve_matches_fraction_elimination(system):
-    """Same solution as elimination over Fractions, or the same exception and rank."""
-    a, b = system
-    assert _outcome(solve_exact, a, b) == _outcome(reference_solve, a, b)
+    """Same solution as elimination over Fractions, or the same exception and
+    rank, whether the rows come in dense or as their nonzero entries."""
+    rows, b = system
+    dense = QMatrix.from_rows(rows)
+    sparse = QMatrix(len(rows), len(rows[0]),
+                     tuple({j: e for j, e in enumerate(r) if e} for r in rows))
+    assert sparse == dense
+    expected = _outcome(reference_solve, dense, b)
+    assert _outcome(solve_exact, dense, b) == expected
+    assert _outcome(solve_exact, sparse, b) == expected
+
+
+def test_rows_are_stored_by_nonzero_entries():
+    a = QMatrix.from_rows([[0, Q(1, 2), 0], [3, 0, Q(0, 5)]])
+    assert a.nonzero_rows == ({1: Q(1, 2)}, {0: Q(3)})
+    assert a == QMatrix(2, 3, ({1: Q(2, 4), 2: 0}, {0: 3}))
+    assert a.mul_vector([Q(1), Q(2), Q(3)]) == (Q(1), Q(3))
+
+
+def test_derive_hands_the_solver_sparse_rows(monkeypatch):
+    """Deriving D builds no dense row: QMatrix.from_rows is never called,
+    and every row has at most three nonzero entries."""
+    from_rows, solve = QMatrix.from_rows.__func__, testcurves.solve_exact
+    dense_calls, row_sizes = [], []
+
+    def spy_from_rows(cls, rows):
+        dense_calls.append(len(rows))
+        return from_rows(cls, rows)
+
+    def spy_solve(a, b):
+        row_sizes.extend(len(r) for r in a.nonzero_rows)
+        return solve(a, b)
+
+    monkeypatch.setattr(QMatrix, "from_rows", classmethod(spy_from_rows))
+    monkeypatch.setattr(testcurves, "solve_exact", spy_solve)
+    assert derive_theorem_class(500) == class_D(500)
+    assert dense_calls == []
+    assert len(row_sizes) == 253 and max(row_sizes) <= 3
 
 
 def test_solve_diagonally_dominant_sweep():

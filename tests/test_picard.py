@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -122,7 +123,7 @@ def test_pair_examples():
     b = basis(PHODGE_ABELIAN, 3)
     curve = CurveRecord.from_map("A", b, {"eta": Q(-1)})
     assert pair(curve, class_D(3)) == 24
-    assert pair(curve, DivisorClass.zero(b)) == 0
+    assert pair(curve, DivisorClass.from_map(b, {})) == 0
     curve_b = CurveRecord.from_map("B", b, {"lambda": Q(1), "delta_0": Q(12), "delta_1": Q(-1)})
     assert pair(curve_b, class_D(3)) == 8
 
@@ -143,43 +144,123 @@ def test_pair_total_delta_requires_uniform_boundary():
 
 
 def plain_pair(curve, c):
-    """Term-by-term oracle for ``pair``; the boundary coefficients of ``c``
-    are uniform whenever the curve records a total boundary pairing."""
+    """Term-by-term oracle for ``pair`` over the dense vectors; the boundary
+    coefficients of ``c`` (positions 2.. in every basis drawn below) are
+    uniform whenever the curve records a total boundary pairing."""
     total = sum((v * a for v, a in zip(curve.vector, c.coeffs)), Q(0))
     if curve.total_delta is not None:
-        total += curve.total_delta * c.coefficient("delta_0")
+        total += curve.total_delta * c.coeffs[2]
     return total
 
 
 @st.composite
 def pairing_problems(draw):
-    b = basis(draw(st.sampled_from([PHODGE_ABELIAN, PHODGE_QUADRATIC])),
-              draw(st.integers(min_value=2, max_value=40)))
+    """A curve record built from its nonzero entries and two classes, one
+    built dense and one sparse, over PHodge or MbarG1 bases up to g=1000."""
+    b = basis(draw(st.sampled_from([PHODGE_ABELIAN, PHODGE_QUADRATIC, MBAR_G1])),
+              draw(st.integers(min_value=2, max_value=1000)))
     n = len(b.symbols)
     total_delta = draw(st.none() | wide_rationals)
 
-    def vector():  # sparse: a few nonzero entries at drawn positions
-        entries = draw(st.dictionaries(st.integers(0, n - 1), wide_rationals, max_size=6))
-        return tuple(entries.get(i, Q(0)) for i in range(n))
+    def entries():  # sparse: a few nonzero entries at drawn positions
+        return draw(st.dictionaries(st.integers(0, n - 1), wide_rationals, max_size=6))
 
-    def divisor():
-        coeffs = vector()
-        if total_delta is not None:  # uniform boundary: delta_i = delta_0
-            coeffs = coeffs[:3] + (coeffs[2],) * (n - 3)
-        return DivisorClass(b, coeffs)
+    def divisor_entries():
+        if total_delta is None:
+            return entries()
+        # uniform boundary: every delta symbol (positions 2..) gets one value
+        boundary = draw(st.just(Q(0)) | wide_rationals)
+        return {**{i: v for i, v in entries().items() if i < 2}, **dict.fromkeys(range(2, n), boundary)}
 
-    curve = CurveRecord("c", b, vector(), total_delta=total_delta)
-    return curve, divisor(), divisor(), draw(rationals)
+    curve = CurveRecord("c", b, nonzero=entries(), total_delta=total_delta)
+    x_entries = divisor_entries()
+    x = DivisorClass(b, tuple(x_entries.get(i, Q(0)) for i in range(n)))
+    return curve, x, DivisorClass(b, nonzero=divisor_entries()), draw(rationals)
 
 
 @given(pairing_problems())
 def test_pair_is_bilinear(problem):
-    """pair is bilinear and equals the term-by-term Fraction sum, as a
-    Fraction also when it is 0, on sparse vectors up to genus 40."""
+    """pair is bilinear and equals the term-by-term Fraction sum over the
+    dense vectors, as a Fraction also when it is 0, on sparse records up to
+    genus 1000, with and without a total boundary pairing."""
     curve, x, y, t = problem
-    for c in (x, y, x + y, x.scale(t), DivisorClass.zero(x.basis)):
+    for c in (x, y, x + y, x.scale(t), DivisorClass.from_map(x.basis, {})):
         value = pair(curve, c)
         assert type(value) is Q
         assert value == plain_pair(curve, c)
     assert pair(curve, x + y) == pair(curve, x) + pair(curve, y)
     assert pair(curve, x.scale(t)) == t * pair(curve, x)
+
+
+def test_dense_and_sparse_classes_agree():
+    b = basis(PHODGE_ABELIAN, 6)
+    dense = (Q(0), Q(3), Q(0), Q(-1, 2), Q(0), Q(0))
+    from_dense = DivisorClass(b, (0, 3, 0, Q(-1, 2), 0, 0))
+    from_map = DivisorClass.from_map(b, {"delta_1": Q(-1, 2), "eta": 0, "lambda": 3, "delta_3": Q(0)})
+    from_positions = DivisorClass(b, nonzero={3: Q(-1, 2), 0: Q(0, 7), 1: 3})
+    assert from_dense == from_map == from_positions
+    assert hash(from_dense) == hash(from_map) == hash(from_positions)
+    # explicit zeros are dropped; the rest is kept in basis order, as Fractions
+    assert list(from_map.nonzero.items()) == [(1, Q(3)), (3, Q(-1, 2))]
+    assert all(type(v) is Q for v in from_dense.nonzero.values())
+    assert from_map.coeffs == dense and len(from_map.coeffs) == 6
+    assert from_map.coeffs[1:4] == dense[1:4] and from_map.coeffs[-1] == 0
+    assert from_map.coeffs[:-1] + (from_map.coeffs[-1] + 1,) == dense[:-1] + (Q(1),)
+    assert list(from_map.coeffs) == list(dense)
+    assert from_map.coefficient("eta") == 0 and type(from_map.coefficient("eta")) is Q
+    assert from_map.as_map() == dict(zip(b.symbols, dense))
+    assert str(from_map) == "(3)*lambda + (-1/2)*delta_1"
+    assert from_map != DivisorClass(basis(PHODGE_QUADRATIC, 6), dense)
+    zero = DivisorClass.from_map(b, {"eta": Q(0)})
+    assert zero == DivisorClass(b, (0,) * 6) and zero.is_zero() and str(zero) == "0"
+    assert (from_map - from_map) == zero and from_map.scale(0) == zero
+
+
+def test_dense_views_match_the_dense_tuples():
+    assert class_W(5).coeffs == (Q(-1), Q(15), Q(-10), Q(-6), Q(-3), Q(-1))
+    assert class_stratum_abelian(5).coeffs == (Q(-24), Q(24), Q(-2), Q(-3), Q(-3))
+    assert class_D(4).coeffs == (Q(-60), Q(114), Q(-10), Q(-21), Q(-28))
+    assert genus2_lambda_relation().coeffs == (Q(0), Q(0), Q(1, 10), Q(1, 5))
+
+
+def test_wrong_shapes_are_rejected():
+    b = basis(PHODGE_ABELIAN, 3)
+    with pytest.raises(ValueError):
+        DivisorClass(b, (1, 2, 3))
+    with pytest.raises(ValueError):
+        CurveRecord("c", b, (1, 2, 3))
+    with pytest.raises(ValueError):
+        DivisorClass(b, nonzero={4: 1})
+    with pytest.raises(KeyError):
+        DivisorClass.from_map(b, {"psi": 1})
+
+
+def test_dense_and_sparse_curves_agree():
+    b = basis(MBAR_G1, 5)
+    dense = (0, 1, 0, 0, -7, 0)
+    from_dense = CurveRecord("B2", b, dense, {"W": Q(3)})
+    from_map = CurveRecord.from_map("B2", b, {"psi": 1, "delta_3m": -7, "lambda": 0},
+                                    known_pairings={"W": Q(3)})
+    assert from_dense == from_map
+    assert list(from_map.nonzero.items()) == [(1, Q(1)), (4, Q(-7))]
+    assert from_map.vector == tuple(Q(v) for v in dense)
+    assert from_map.vector[1:3] == (Q(1), Q(0)) and len(from_map.vector) == 6
+    assert from_map.entry("lambda") == 0 and from_map.entry("delta_3m") == -7
+    uncommitted = CurveRecord("B3", b, None, known_pairings={"W": Q(6)})
+    assert uncommitted.vector is None and uncommitted.nonzero is None
+    with pytest.raises(ValueError):
+        uncommitted.entry("psi")
+
+
+def test_replace_round_trips():
+    rec = CurveRecord.from_map("T", basis(PHODGE_QUADRATIC, 4), {"eta": 2, "lambda": Q(1, 3)},
+                               known_pairings={"D": Q(5)}, total_delta=Q(6))
+    moved = replace(rec, known_pairings={"D": Q(6)})
+    assert moved != rec
+    assert (moved.vector, moved.total_delta, moved.known_pairings) == (rec.vector, Q(6), {"D": Q(6)})
+    assert replace(moved, known_pairings={"D": Q(5)}) == rec
+    assert replace(rec, name="U").name == "U" and replace(rec, name="U").nonzero == rec.nonzero
+    uncommitted = CurveRecord("B3", rec.basis, None, known_pairings={"W": Q(6)})
+    assert replace(uncommitted) == uncommitted
+    with pytest.raises(TypeError):  # the vector is stored as ``nonzero``, not replaced silently
+        replace(rec, vector=(Q(1),) * 5)

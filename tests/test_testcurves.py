@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -92,6 +93,11 @@ def test_derive_matches_closed_form():
 
 def test_derive_matches_closed_form_up_to_genus_200():
     for g in [*range(13, 201, 17), 200]:
+        assert derive_theorem_class(g) == class_D(g)
+
+
+def test_derive_matches_closed_form_up_to_genus_1000():
+    for g in [*random.Random(20181212).sample(range(201, 1001), 8), 1000]:
         assert derive_theorem_class(g) == class_D(g)
 
 
