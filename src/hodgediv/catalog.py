@@ -8,6 +8,15 @@ defaults to ``hodgediv_catalog.json`` in the working directory and can be
 overridden with the ``HODGEDIV_CATALOG`` environment variable.  The CLI
 regenerates the file deterministically, so it can be kept under version
 control and diffed.
+
+The file holds exactly ``json.dumps(records, indent=2, sort_keys=True)``
+plus a newline.  :func:`dumps` produces those bytes for the record shapes
+:func:`build_catalog` emits, and is shared by :func:`write_catalog` and
+``catalog list --json``.  ``json.dumps`` with an indent never reaches the
+C encoder, so :func:`dumps` joins the record frame by hand and encodes each
+flat symbol -> "p/q" map, which carries nearly every byte, with one
+encoder whose item separator is the newline and indentation of the map's
+depth: without an indent it runs in C.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction as Q
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import picard, testcurves
@@ -100,10 +110,52 @@ def build_catalog(g: int) -> list[dict]:
     return records
 
 
+# A record's maps sit at depth 2 of the file, so their items are indented by 6.
+_MAP_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _encode_value(v) -> str:
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    if type(v) is dict and all(type(x) is str for x in v.values()):
+        if not v:
+            return "{}"
+        return "{\n      " + _MAP_ENCODER.encode(v)[1:-1] + "\n    }"
+    raise TypeError(f"catalog value of type {type(v).__name__} is not a str, int, None "
+                    "or flat str -> str map")
+
+
+def _encode_record(rec: dict) -> str:
+    if type(rec) is not dict:
+        raise TypeError(f"catalog record of type {type(rec).__name__} is not a dict")
+    if not rec:
+        return "{}"
+    return "{\n    " + ",\n    ".join(
+        f"{encode_basestring_ascii(k)}: {_encode_value(rec[k])}" for k in sorted(rec)) + "\n  }"
+
+
+def dumps(records: list[dict]) -> str:
+    """``json.dumps(records, indent=2, sort_keys=True)``, byte for byte.
+
+    ``records`` is a list of dicts whose values are ``str``, ``int``,
+    ``None`` or a flat ``dict[str, str]``; any other shape raises
+    ``TypeError`` rather than risk different bytes.
+    """
+    if type(records) is not list:
+        raise TypeError(f"catalog of type {type(records).__name__} is not a list")
+    if not records:
+        return "[]"
+    return "[\n  " + ",\n  ".join(map(_encode_record, records)) + "\n]"
+
+
 def write_catalog(genera: list[int], path: Path | None = None) -> Path:
     path = path or catalog_path()
     records = [rec for g in genera for rec in build_catalog(g)]
-    path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+    path.write_text(dumps(records) + "\n")
     return path
 
 

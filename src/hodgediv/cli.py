@@ -192,7 +192,7 @@ def cmd_catalog_list(genus: int, as_json: bool):
     _check_genus(genus)
     records = catalog_mod.build_catalog(genus)
     if as_json:
-        click.echo(json.dumps(records, indent=2, sort_keys=True))
+        click.echo(catalog_mod.dumps(records))
         return
     for rec in records:
         data = rec["coefficients"] if rec["record"] == "class" else rec["vector"]

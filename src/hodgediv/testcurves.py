@@ -18,6 +18,7 @@ reproduce :func:`hodgediv.picard.class_D` exactly.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction as Q
 
 from .exactq import QMatrix, solve_exact
@@ -109,6 +110,7 @@ def curves_B1_B2_B3(g: int, i: int) -> tuple[CurveRecord, CurveRecord, CurveReco
     return b1, b2, b3
 
 
+@functools.cache
 def rhs_C_dot_D(g: int, i: int) -> Q:
     """C.D assembled from the three 1-pointed families:
 
@@ -116,6 +118,11 @@ def rhs_C_dot_D(g: int, i: int) -> Q:
 
     B1.W and B2.W are computed as dot products against the Weierstrass
     class; B3.W comes from its recorded pairing.
+
+    Memoized: the value is a pure function of ``(g, i)`` and an immutable
+    Fraction, and both :func:`derive_theorem_class` and the catalog's
+    C-curve records need it, so one evaluation per ``(g, i)`` builds the
+    three families and pairs them once.
     """
     _check_genus(g)
     if not 1 <= i <= g // 2:

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hodgediv import catalog
 from hodgediv.picard import (
@@ -123,3 +124,37 @@ def test_missing_symbol_is_a_key_error():
     b = next(r for r in records if r["name"] == "B")
     with pytest.raises(KeyError):  # a zero entry may not be left out either
         catalog.record_to_curve({**b, "vector": {k: v for k, v in b["vector"].items() if k != "eta"}})
+
+
+def _reference_dumps(records):
+    return json.dumps(records, indent=2, sort_keys=True)
+
+
+def test_dumps_matches_json_dumps_on_built_catalogs():
+    every = []
+    for g in range(2, 61):
+        records = catalog.build_catalog(g)
+        assert catalog.dumps(records) == _reference_dumps(records)
+        every += records
+    assert catalog.dumps(every) == _reference_dumps(every)
+    assert catalog.dumps([]) == _reference_dumps([]) == "[]"
+
+
+_tricky_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7fé€\u2028😀'),
+                                 st.characters()), max_size=8)
+_ints = st.one_of(st.integers(), st.integers(-10**40, 10**40),
+                  st.sampled_from([10**39, -(10**39) - 7, 0, -1]))
+_values = st.one_of(_tricky_text, _ints, st.none(),
+                    st.dictionaries(_tricky_text, _tricky_text, max_size=5))
+_records = st.lists(st.dictionaries(_tricky_text, _values, max_size=6), max_size=4)
+
+
+@given(_records)
+def test_dumps_matches_json_dumps_on_record_shapes(records):
+    assert catalog.dumps(records) == _reference_dumps(records)
+
+
+@pytest.mark.parametrize("value", [[1], 1.5, {"eta": {"lambda": "1"}}, {"eta": 1}, True])
+def test_dumps_rejects_other_value_shapes(value):
+    with pytest.raises(TypeError):
+        catalog.dumps([{"record": "class", "coefficients": value}])

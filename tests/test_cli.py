@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -202,3 +204,20 @@ def test_no_decimal_rendering(runner):
     payload = json.loads(result.output)
     for row in payload["rows"]:
         assert "." not in row["computed"]
+
+
+def _golden(args):
+    """The benchmark's recorded stdout, exit code and file hash for ``args``."""
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    return next(entry for entry in golden if entry["args"] == args)
+
+
+def test_catalog_bytes_match_the_golden_record(runner, tmp_path, monkeypatch):
+    args = ["catalog", "list", "--genus", "5", "--json"]
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stdout) == (_golden(args)["exit"], _golden(args)["stdout"])
+    args = ["catalog", "write", "--genus", "3", "--genus", "4"]
+    monkeypatch.setenv("HODGEDIV_CATALOG", str(tmp_path / "cat.json"))
+    assert runner.invoke(main, args).exit_code == _golden(args)["exit"]
+    written = (tmp_path / "cat.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == _golden(args)["catalog_sha256"]

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hodgediv import testcurves
+from hodgediv import catalog, testcurves
 from hodgediv.exactq import InconsistentSystem, UnderdeterminedSystem
 from hodgediv.picard import class_D, class_W, pair
 from hodgediv.testcurves import (
@@ -181,3 +181,21 @@ def test_genus_validation():
     for fn in (curve_A, curve_B, derive_theorem_class, moving_curve_catalog):
         with pytest.raises(ValueError):
             fn(1)
+
+
+def test_each_C_pairing_is_computed_once_per_index(tmp_path, monkeypatch):
+    """derive, build_catalog and write_catalog share one rhs_C_dot_D evaluation."""
+    calls = 0
+
+    def counted_pair(curve, cls):
+        nonlocal calls
+        calls += 1
+        return pair(curve, cls)
+
+    monkeypatch.setattr(testcurves, "pair", counted_pair)
+    rhs_C_dot_D.cache_clear()
+    for g in range(3, 13):
+        derive_theorem_class(g)
+        catalog.build_catalog(g)
+        catalog.write_catalog([g], tmp_path / "cat.json")
+        assert calls == 2 * sum(h // 2 for h in range(3, g + 1))
