@@ -15,6 +15,7 @@ from hodgediv.extremality import (
     certificate_check,
     double_zero_partition,
     kappa_mu,
+    sample_grid,
     teich_vector_abelian,
     teich_vector_quadratic,
     threshold_abelian,
@@ -35,9 +36,7 @@ d = threshold_abelian(a, b, c0, g)
 print(f"threshold for A = {a}*lambda + {b}*eta + {c0}*delta_0: d = {d}")
 
 ample = DivisorClass.from_map(stratum.basis, {"lambda": a, "eta": b, "delta_0": c0})
-km = kappa_mu(p)
-grid = [teich_vector_abelian(g, p, TeichParamsAbelian(Q(chi), L, g))
-        for chi in (1, 2, 3) for L in (Q(0), km, Q(g))]
+grid = sample_grid("abelian", g, Q(1))
 print("certificate at d: ", certificate_check(stratum, ample, d, grid))
 print("certificate at 2d:", certificate_check(stratum, ample, 2 * d, grid))
 

@@ -36,10 +36,6 @@ class MultiProjRing:
             raise ValueError("need at least one factor, all of dimension >= 1")
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
 
-    @property
-    def top(self) -> tuple[int, ...]:
-        return self.dims
-
     def generator(self, j: int) -> "ChowElement":
         """Hyperplane class pulled back from the j-th factor (0-based)."""
         exp = tuple(1 if i == j else 0 for i in range(len(self.dims)))
@@ -139,7 +135,7 @@ class ChowElement:
 
 def chow_integrate(a: ChowElement) -> Q:
     """Degree map: coefficient of the top monomial (n_1, ..., n_k)."""
-    return a.terms.get(a.ring.top, Q(0))
+    return a.terms.get(a.ring.dims, Q(0))
 
 
 def linear_class(ring: MultiProjRing, coeffs: Sequence) -> ChowElement:

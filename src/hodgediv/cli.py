@@ -37,8 +37,8 @@ class Report:
     def verdict(self) -> str:
         return "match" if all(ok for *_, ok in self.rows) else "mismatch"
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        return {
             "command": self.command,
             "inputs": self.inputs,
             "rows": [
@@ -46,9 +46,8 @@ class Report:
                 for q, e, c, ok in self.rows
             ],
             "verdict": self.verdict,
+            **self.extra,
         }
-        payload.update(self.extra)
-        return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_table(self) -> str:
         lines = [f"# {self.command}"]
@@ -66,22 +65,31 @@ class Report:
         return "\n".join(lines)
 
 
-def _emit(report: Report, as_json: bool):
-    click.echo(report.to_json() if as_json else report.to_table())
-    if report.verdict != "match":
+def _emit(payload: dict, text: str, as_json: bool, ok: bool = True):
+    """Print the JSON report or the text one; exit 1 unless ``ok``."""
+    click.echo(json.dumps(payload, indent=2, sort_keys=True) if as_json else text)
+    if not ok:
         sys.exit(1)
 
 
 def _genus_option(f):
-    return click.option("--genus", type=int, required=True)(f)
+    return click.option("--genus", type=click.IntRange(min=2), required=True)(f)
 
 
-def _check_genus(g: int):
-    if g < 2:
-        raise click.UsageError("genus must be >= 2")
+class _Main(click.Group):
+    """The one error boundary: a ValueError from any command, such as an
+    input out of range, ends the run with a one-line ``Error:`` and exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            error = click.ClickException(str(exc))
+            error.exit_code = 2
+            raise error from exc
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Exact intersection-theory computations for divisor classes on
     projectivized bundles of differentials."""
@@ -93,91 +101,31 @@ def main():
 def cmd_derive(genus: int, as_json: bool):
     """Re-derive the Weierstrass-zero divisor class from test curves and
     compare it to the closed form."""
-    _check_genus(genus)
     derived = testcurves.derive_theorem_class(genus)
     closed = picard.class_D(genus)
     report = Report("derive", {"genus": genus})
     for sym in closed.basis.symbols:
         report.add(sym, closed.coefficient(sym), derived.coefficient(sym))
     report.extra["derived_class"] = str(derived)
-    _emit(report, as_json)
-
-
-def _quartic_report() -> Report:
-    fam = chow.pencil_family("P2", 4)
-    inv = porteous.family_invariants(fam)
-    h = fam.pullback([1])
-    report = Report("verify", {"example": "quartic-pencil"})
-    report.add("fiber genus", 3, Q(fam.genus))
-    report.add("base points", 16, Q(fam.base_points))
-    report.add("deg eta", 1, porteous.eta_degree_from_family(fam, h))
-    report.add("B.kappa", 9, porteous.kappa_degree(fam))
-    report.add("B.delta_0", 27, porteous.singular_fiber_count(fam))
-    report.add("B.lambda", 3, porteous.lambda_degree(fam))
-    b = picard.basis(picard.PHODGE_ABELIAN, 3)
-    rec = picard.CurveRecord.from_map("B", b, {
-        "eta": porteous.eta_degree_from_family(fam, h),
-        "lambda": porteous.lambda_degree(fam),
-        "delta_0": porteous.singular_fiber_count(fam),
-    })
-    report.add("B.D (class pairing)", 18, picard.pair(rec, picard.class_D(3)))
-    report.add("B.D (degeneracy sweep)", 18, porteous.weierstrass_sweep_degree(inv, h))
-    report.add("B.D (6d-6 at d=4)", 18, Q(6 * 4 - 6))
-    return report
-
-
-def _genus4_report() -> Report:
-    fam = chow.pencil_family("P1xP1", (3, 3))
-    inv = porteous.family_invariants(fam)
-    section = fam.pullback([1, 1])  # hyperplane of the quadric, pulled back
-    report = Report("verify", {"example": "genus4-quadric"})
-    report.add("fiber genus", 4, Q(fam.genus))
-    report.add("base points", 18, Q(fam.base_points))
-    report.add("B.eta", 1, porteous.eta_degree_from_family(fam, section))
-    report.add("B.kappa (lattice)", 14, porteous.kappa_degree(fam))
-    ring = chow.MultiProjRing((1, 3))
-    alpha, beta = ring.generators()
-    omega = alpha + beta            # relative dualizing class on the surface
-    surface = (2 * beta) * (alpha + 3 * beta)
-    report.add("B.kappa (Chow ring)", 14, chow.chow_integrate(omega * omega * surface))
-    report.add("B.delta_0", 34, porteous.singular_fiber_count(fam))
-    report.add("B.lambda", 4, porteous.lambda_degree(fam))
-    b = picard.basis(picard.PHODGE_ABELIAN, 4)
-    rec = picard.CurveRecord.from_map("B", b, {
-        "eta": porteous.eta_degree_from_family(fam, section),
-        "lambda": porteous.lambda_degree(fam),
-        "delta_0": porteous.singular_fiber_count(fam),
-    })
-    report.add("B.D (class pairing)", 56, picard.pair(rec, picard.class_D(4)))
-    report.add("B.D (degeneracy sweep)", 56, porteous.weierstrass_sweep_degree(inv, section))
-    sweep = 10 * omega - 4 * alpha
-    report.add("B.D (Chow ring)", 56, chow.chow_integrate(sweep * beta * surface))
-    return report
-
-
-def _genus2_report() -> Report:
-    residual = picard.substitute_relation(
-        picard.class_D(2) - picard.class_stratum_abelian(2),
-        "lambda", picard.genus2_lambda_relation())
-    report = Report("verify", {"example": "genus2-relation"})
-    report.add("residual after lambda elimination", "0", str(residual))
-    return report
-
-
-_EXAMPLES = {
-    "quartic-pencil": _quartic_report,
-    "genus4-quadric": _genus4_report,
-    "genus2-relation": _genus2_report,
-}
+    _emit(report.payload(), report.to_table(), as_json, report.verdict == "match")
 
 
 @main.command("verify")
 @click.option("--example", "example_id", required=True,
-              type=click.Choice(sorted(_EXAMPLES)))
+              type=click.Choice(sorted([*porteous.PENCIL_EXAMPLES, "genus2-relation"])))
 @click.option("--json", "as_json", is_flag=True)
 def cmd_verify(example_id: str, as_json: bool):
     """Recompute every quantity of a worked example and compare."""
-    _emit(_EXAMPLES[example_id](), as_json)
+    report = Report("verify", {"example": example_id})
+    if example_id == "genus2-relation":
+        residual = picard.substitute_relation(
+            picard.class_D(2) - picard.class_stratum_abelian(2),
+            "lambda", picard.genus2_lambda_relation())
+        report.add("residual after lambda elimination", "0", str(residual))
+    else:
+        for quantity, paper, computed in porteous.pencil_example(example_id):
+            report.add(quantity, paper, computed)
+    _emit(report.payload(), report.to_table(), as_json, report.verdict == "match")
 
 
 @main.group("catalog")
@@ -189,7 +137,6 @@ def cmd_catalog():
 @_genus_option
 @click.option("--json", "as_json", is_flag=True)
 def cmd_catalog_list(genus: int, as_json: bool):
-    _check_genus(genus)
     records = catalog_mod.build_catalog(genus)
     if as_json:
         click.echo(catalog_mod.dumps(records))
@@ -201,16 +148,21 @@ def cmd_catalog_list(genus: int, as_json: bool):
 
 
 @cmd_catalog.command("write")
-@click.option("--genus", "genera", type=int, multiple=True, required=True)
+@click.option("--genus", "genera", type=click.IntRange(min=2), multiple=True, required=True)
 def cmd_catalog_write(genera):
-    for g in genera:
-        _check_genus(g)
     try:
         path = catalog_mod.write_catalog(list(genera))
     except OSError as exc:
-        click.echo(f"Error: cannot write catalog {exc.filename}: {exc.strerror}", err=True)
-        sys.exit(2)
+        raise ValueError(f"cannot write catalog {exc.filename}: {exc.strerror}") from exc
     click.echo(f"wrote {path}")
+
+
+def _parse(value: str, label: str, parse=parse_rational, expected="a rational p/q"):
+    """Parse the value of option ``label``; a malformed one is a ValueError naming it."""
+    try:
+        return parse(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{label} must be {expected}, got {value!r}") from None
 
 
 @main.group("chow")
@@ -225,29 +177,12 @@ def cmd_chow():
 @click.option("--json", "as_json", is_flag=True)
 def cmd_chow_eval(expression: str, dims: str, as_json: bool):
     """Integrate a product expression; generators are a, b, c, ... per factor."""
-    try:
-        dim_list = tuple(int(d) for d in dims.split(","))
-    except ValueError:
-        raise click.UsageError(f"--dims must be comma-separated positive integers, got {dims!r}")
-    try:
-        ring = chow.MultiProjRing(dim_list)
-        value = chow.chow_integrate(chowexpr.evaluate(expression, ring))
-    except (ValueError, chowexpr.ExpressionError) as exc:
-        raise click.UsageError(str(exc))
-    if as_json:
-        click.echo(json.dumps({
-            "command": "chow eval", "expression": expression,
-            "dims": list(dim_list), "integral": format_rational(value),
-        }, indent=2, sort_keys=True))
-    else:
-        click.echo(format_rational(value))
-
-
-def _parse_q(value: str, label: str) -> Q:
-    try:
-        return parse_rational(value)
-    except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"{label} must be a rational p/q, got {value!r}")
+    dim_list = _parse(dims, "--dims", lambda text: tuple(int(d) for d in text.split(",")),
+                      "comma-separated positive integers")
+    value = chow.chow_integrate(chowexpr.evaluate(expression, chow.MultiProjRing(dim_list)))
+    _emit({"command": "chow eval", "expression": expression,
+           "dims": list(dim_list), "integral": format_rational(value)},
+          format_rational(value), as_json)
 
 
 @main.group("teich")
@@ -264,25 +199,21 @@ def cmd_teich():
 @click.option("--json", "as_json", is_flag=True)
 def cmd_teich_pair(kind, genus, chi, lyapunov, carea, as_json):
     """Print the intersection vector and the double-zero stratum pairing."""
-    _check_genus(genus)
-    chi_q = _parse_q(chi, "--chi")
+    chi_q = _parse(chi, "--chi")
     part = extremality.double_zero_partition(kind, genus)
-    try:
-        if kind == "abelian":
-            if lyapunov is None:
-                raise click.UsageError("--lyapunov is required for kind=abelian")
-            params = extremality.TeichParamsAbelian(chi_q, _parse_q(lyapunov, "--lyapunov"), genus)
-            rec = extremality.teich_vector_abelian(genus, part, params)
-            stratum = picard.class_stratum_abelian(genus)
-        else:
-            if carea is None:
-                raise click.UsageError("--carea is required for kind=quadratic")
-            params = extremality.TeichParamsQuadratic(chi_q, _parse_q(carea, "--carea"))
-            rec = extremality.teich_vector_quadratic(genus, part, params)
-            stratum = picard.class_stratum_quadratic(genus)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    pairing = picard.pair(rec, stratum)
+    if kind == "abelian":
+        if lyapunov is None:
+            raise ValueError("--lyapunov is required for kind=abelian")
+        params = extremality.TeichParamsAbelian(chi_q, _parse(lyapunov, "--lyapunov"), genus)
+        rec = extremality.teich_vector_abelian(genus, part, params)
+        stratum = picard.class_stratum_abelian(genus)
+    else:
+        if carea is None:
+            raise ValueError("--carea is required for kind=quadratic")
+        params = extremality.TeichParamsQuadratic(chi_q, _parse(carea, "--carea"))
+        rec = extremality.teich_vector_quadratic(genus, part, params)
+        stratum = picard.class_stratum_quadratic(genus)
+    pairing = format_rational(picard.pair(rec, stratum))
     vector = {s: format_rational(v) for s, v in zip(rec.basis.symbols, rec.vector)}
     if rec.total_delta is not None:
         vector["total_delta"] = format_rational(rec.total_delta)
@@ -290,15 +221,21 @@ def cmd_teich_pair(kind, genus, chi, lyapunov, carea, as_json):
         "inputs": {"kind": kind, "genus": genus, "chi": format_rational(chi_q),
                    **({"lyapunov": lyapunov} if kind == "abelian" else {"carea": carea})},
         "vector": vector,
-        "pairing": format_rational(pairing),
+        "pairing": pairing,
         "verdict": "ok",
     }
-    if as_json:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for sym, val in vector.items():
-            click.echo(f"{sym} = {val}")
-        click.echo(f"stratum pairing = {format_rational(pairing)}")
+    text = "\n".join([*(f"{sym} = {val}" for sym, val in vector.items()),
+                      f"stratum pairing = {pairing}"])
+    _emit(payload, text, as_json)
+
+
+def _threshold(kind, genus, a: Q, b: Q, c0: str, c: str, cmax: str) -> Q:
+    """Threshold d for a*lambda + b*eta + the boundary part of ``kind``; of
+    c0, c and cmax it parses only those that ``kind`` reads."""
+    if kind == "abelian":
+        return extremality.threshold_abelian(a, b, _parse(c0, "--c0"), genus)
+    return extremality.threshold_quadratic(a, b, _parse(c, "--c"), genus,
+                                           _parse(cmax, "--cmax"))
 
 
 @main.command("threshold")
@@ -312,42 +249,11 @@ def cmd_teich_pair(kind, genus, chi, lyapunov, carea, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_threshold(kind, genus, a, b, c0, c, cmax, as_json):
     """Negativity threshold d for an ample class a*lambda + b*eta + ..."""
-    _check_genus(genus)
-    aq, bq = _parse_q(a, "-a"), _parse_q(b, "-b")
-    try:
-        if kind == "abelian":
-            d = extremality.threshold_abelian(aq, bq, _parse_q(c0, "--c0"), genus)
-        else:
-            d = extremality.threshold_quadratic(aq, bq, _parse_q(c, "--c"), genus,
-                                                _parse_q(cmax, "--cmax"))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    if as_json:
-        click.echo(json.dumps({
-            "command": "threshold",
-            "inputs": {"kind": kind, "genus": genus, "a": a, "b": b,
-                       "c0": c0, "c": c, "cmax": cmax},
-            "d": format_rational(d), "verdict": "ok",
-        }, indent=2, sort_keys=True))
-    else:
-        click.echo(format_rational(d))
-
-
-def _sample_grid(kind: str, genus: int, cmax: Q):
-    part = extremality.double_zero_partition(kind, genus)
-    km = extremality.kappa_mu(part)
-    curves = []
-    if kind == "abelian":
-        for chi in range(1, 6):
-            for L in (Q(0), km, Q(genus, 2), Q(genus)):
-                params = extremality.TeichParamsAbelian(Q(2 * chi), L, genus)
-                curves.append(extremality.teich_vector_abelian(genus, part, params))
-    else:
-        for chi in range(1, 6):
-            for j in range(5):
-                params = extremality.TeichParamsQuadratic(Q(chi), cmax * Q(j, 4))
-                curves.append(extremality.teich_vector_quadratic(genus, part, params))
-    return curves
+    d = format_rational(_threshold(kind, genus, _parse(a, "-a"), _parse(b, "-b"), c0, c, cmax))
+    _emit({"command": "threshold",
+           "inputs": {"kind": kind, "genus": genus, "a": a, "b": b,
+                      "c0": c0, "c": c, "cmax": cmax},
+           "d": d, "verdict": "ok"}, d, as_json)
 
 
 @main.command("certify")
@@ -363,41 +269,26 @@ def _sample_grid(kind: str, genus: int, cmax: Q):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_certify(kind, genus, a, b, c0, c, cmax, d_value, as_json):
     """Run the negativity certificate on a parameter grid of curves."""
-    _check_genus(genus)
-    aq, bq = _parse_q(a, "-a"), _parse_q(b, "-b")
-    cmax_q = _parse_q(cmax, "--cmax")
-    try:
-        if kind == "abelian":
-            c0q = _parse_q(c0, "--c0")
-            d = _parse_q(d_value, "-d") if d_value else extremality.threshold_abelian(aq, bq, c0q, genus)
-            stratum = picard.class_stratum_abelian(genus)
-            ample = picard.DivisorClass.from_map(stratum.basis, {"lambda": aq, "eta": bq, "delta_0": c0q})
-        else:
-            cq = _parse_q(c, "--c")
-            d = _parse_q(d_value, "-d") if d_value else extremality.threshold_quadratic(aq, bq, cq, genus, cmax_q)
-            stratum = picard.class_stratum_quadratic(genus)
-            ample = picard.DivisorClass.from_map(
-                stratum.basis,
-                {"lambda": aq, "eta": bq,
-                 **{f"delta_{i}": cq for i in range(genus // 2 + 1)}})
-        curves = _sample_grid(kind, genus, cmax_q)
-        result = extremality.certificate_check(stratum, ample, d, curves)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    payload = {
-        "command": "certify",
-        "inputs": {"kind": kind, "genus": genus, "a": a, "b": b, "c0": c0,
-                   "c": c, "cmax": cmax, "d": format_rational(d)},
-        "violations": [{"curve": name, "value": format_rational(v)}
-                       for name, v in result.violations],
-        "verdict": "PASS" if result.passed else "FAIL",
-    }
-    if as_json:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    aq, bq = _parse(a, "-a"), _parse(b, "-b")
+    cmax_q = _parse(cmax, "--cmax")
+    if kind == "abelian":
+        stratum = picard.class_stratum_abelian(genus)
+        boundary = {"delta_0": _parse(c0, "--c0")}
     else:
-        click.echo(str(result))
-    if not result.passed:
-        sys.exit(1)
+        stratum = picard.class_stratum_quadratic(genus)
+        cq = _parse(c, "--c")
+        boundary = {f"delta_{i}": cq for i in range(genus // 2 + 1)}
+    d = _parse(d_value, "-d") if d_value else _threshold(kind, genus, aq, bq, c0, c, cmax)
+    ample = picard.DivisorClass.from_map(stratum.basis, {"lambda": aq, "eta": bq, **boundary})
+    result = extremality.certificate_check(
+        stratum, ample, d, extremality.sample_grid(kind, genus, cmax_q))
+    _emit({"command": "certify",
+           "inputs": {"kind": kind, "genus": genus, "a": a, "b": b, "c0": c0,
+                      "c": c, "cmax": cmax, "d": format_rational(d)},
+           "violations": [{"curve": name, "value": format_rational(v)}
+                          for name, v in result.violations],
+           "verdict": "PASS" if result.passed else "FAIL"},
+          str(result), as_json, result.passed)
 
 
 if __name__ == "__main__":

@@ -206,6 +206,19 @@ def threshold_quadratic(a: Q, b: Q, c: Q, g: int, c_max: Q,
     return _interval_infimum(2 * b + a * km, 12 * c + a, Q(0), c_max, Q(1))
 
 
+def sample_grid(kind: str, g: int, cmax: Q) -> list[CurveRecord]:
+    """The Teichmueller curves ``certify`` checks: chi = 2, 4, ..., 10 with
+    L in {0, kappa_mu, g/2, g} (abelian), or chi = 1, ..., 5 with c_area in
+    {0, cmax/4, ..., cmax} (quadratic)."""
+    part = double_zero_partition(kind, g)
+    if kind == "abelian":
+        km = kappa_mu(part)
+        return [teich_vector_abelian(g, part, TeichParamsAbelian(Q(2 * chi), L, g))
+                for chi in range(1, 6) for L in (Q(0), km, Q(g, 2), Q(g))]
+    return [teich_vector_quadratic(g, part, TeichParamsQuadratic(Q(chi), cmax * Q(j, 4)))
+            for chi in range(1, 6) for j in range(5)]
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     passed: bool

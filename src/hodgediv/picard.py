@@ -125,9 +125,6 @@ class DivisorClass:
     __rmul__ = scale
     __mul__ = scale
 
-    def as_map(self) -> dict[str, Q]:
-        return dict(zip(self.basis.symbols, self.coeffs))
-
     def __str__(self) -> str:
         return " + ".join(f"({c})*{self.basis.symbols[i]}" for i, c in self.nonzero.items()) or "0"
 

@@ -13,6 +13,16 @@ def runner():
     return CliRunner()
 
 
+def _one_error_line(result) -> str:
+    """Assert exit 2 with a single ``Error:`` line on stderr and no
+    traceback; return that line."""
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.stderr
+    return lines[0]
+
+
 def test_derive_match(runner):
     result = runner.invoke(main, ["derive", "--genus", "4"])
     assert result.exit_code == 0
@@ -68,8 +78,9 @@ def test_chow_eval_rational_output(runner):
 
 
 def test_chow_eval_bad_expression_exits_2(runner):
-    result = runner.invoke(main, ["chow", "eval", "a +* b", "--dims", "1,3"])
-    assert result.exit_code == 2
+    for expression, dims in [("a +* b", "1,3"), ("a^b", "1,3"), ("1/2", "1,3"), ("", "1,3"),
+                             ("a", "1,-1")]:
+        _one_error_line(runner.invoke(main, ["chow", "eval", expression, "--dims", dims]))
 
 
 @pytest.mark.parametrize("expression", [
@@ -77,17 +88,13 @@ def test_chow_eval_bad_expression_exits_2(runner):
     "0+" + "-" * 3000 + "a",
 ], ids=["parentheses", "unary-minus"])
 def test_chow_eval_deep_nesting_exits_2(runner, expression):
-    result = runner.invoke(main, ["chow", "eval", expression, "--dims", "1"])
-    assert result.exit_code == 2
-    assert "Traceback" not in result.output
-    assert result.output.splitlines()[-1].startswith("Error: ")
+    _one_error_line(runner.invoke(main, ["chow", "eval", expression, "--dims", "1"]))
 
 
-@pytest.mark.parametrize("dims", ["", "1,x"])
+@pytest.mark.parametrize("dims", ["", "1,x", "1,,2"])
 def test_chow_eval_bad_dims_exits_2(runner, dims):
     result = runner.invoke(main, ["chow", "eval", "a", "--dims", dims])
-    assert result.exit_code == 2
-    assert result.output.splitlines()[-1] == (
+    assert _one_error_line(result) == (
         f"Error: --dims must be comma-separated positive integers, got {dims!r}")
 
 
@@ -119,7 +126,7 @@ def test_teich_pair_abelian_json(runner):
 def test_teich_pair_missing_param_exits_2(runner):
     result = runner.invoke(main, ["teich", "pair", "--kind", "abelian",
                                   "--genus", "3", "--chi", "2"])
-    assert result.exit_code == 2
+    assert _one_error_line(result) == "Error: --lyapunov is required for kind=abelian"
 
 
 def test_threshold(runner):
@@ -130,9 +137,10 @@ def test_threshold(runner):
 
 
 def test_threshold_nonpositive_denominator_exits_2(runner):
-    result = runner.invoke(main, ["threshold", "--kind", "abelian", "--genus", "3",
-                                  "-a", "-1", "-b", "1"])
-    assert result.exit_code == 2
+    for command, a, b in [("threshold", "-1", "1"), ("certify", "0", "0")]:
+        result = runner.invoke(main, [command, "--kind", "abelian", "--genus", "3",
+                                      "-a", a, "-b", b])
+        assert "denominator" in _one_error_line(result)
 
 
 @pytest.mark.parametrize("args", [
@@ -141,20 +149,23 @@ def test_threshold_nonpositive_denominator_exits_2(runner):
     ["certify", "--kind", "abelian", "--genus", "3", "-a", "1", "-b", "2", "-d", "0"],
     ["threshold", "--kind", "quadratic", "--genus", "3", "-a", "1", "-b", "2",
      "--cmax", "-1"],
+    ["threshold", "--kind", "abelian", "--genus", "3", "-a", "1", "-b", "2", "--c0", "1/0"],
+    ["certify", "--kind", "abelian", "--genus", "3", "-a", "1", "-b", "2", "-d", "1/0"],
+    ["teich", "pair", "--kind", "abelian", "--genus", "3", "--chi", "2", "--lyapunov", "9"],
+    ["teich", "pair", "--kind", "abelian", "--genus", "3", "--chi", "-2", "--lyapunov", "1"],
+    ["teich", "pair", "--kind", "quadratic", "--genus", "3", "--chi", "0", "--carea", "1",
+     "--json"],
 ])
 def test_invalid_certificate_input_exits_2(runner, args):
-    result = runner.invoke(main, args)
-    assert result.exit_code == 2
-    assert "Traceback" not in result.output
-    assert result.output.splitlines()[-1].startswith("Error: ")
+    _one_error_line(runner.invoke(main, args))
 
 
 def test_catalog_write_unwritable_path_exits_2(runner, tmp_path, monkeypatch):
     target = tmp_path / "missing" / "cat.json"
     monkeypatch.setenv("HODGEDIV_CATALOG", str(target))
     result = runner.invoke(main, ["catalog", "write", "--genus", "3"])
-    assert result.exit_code == 2
-    assert result.output == f"Error: cannot write catalog {target}: No such file or directory\n"
+    assert _one_error_line(result) == f"Error: cannot write catalog {target}: No such file or directory"
+    assert result.stdout == ""
 
 
 def test_certify_pass_and_fail(runner):
@@ -206,18 +217,18 @@ def test_no_decimal_rendering(runner):
         assert "." not in row["computed"]
 
 
-def _golden(args):
-    """The benchmark's recorded stdout, exit code and file hash for ``args``."""
-    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
-    return next(entry for entry in golden if entry["args"] == args)
-
-
 def test_catalog_bytes_match_the_golden_record(runner, tmp_path, monkeypatch):
-    args = ["catalog", "list", "--genus", "5", "--json"]
-    result = runner.invoke(main, args)
-    assert (result.exit_code, result.stdout) == (_golden(args)["exit"], _golden(args)["stdout"])
-    args = ["catalog", "write", "--genus", "3", "--genus", "4"]
-    monkeypatch.setenv("HODGEDIV_CATALOG", str(tmp_path / "cat.json"))
-    assert runner.invoke(main, args).exit_code == _golden(args)["exit"]
-    written = (tmp_path / "cat.json").read_bytes()
-    assert hashlib.sha256(written).hexdigest() == _golden(args)["catalog_sha256"]
+    """Every README command's stdout and exit code, and the catalog file
+    ``catalog write`` writes, equal the benchmark's recorded copies."""
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    for entry in golden:
+        if "catalog_sha256" in entry:
+            # the recorded stdout names the (relative) path the catalog went to
+            catalog = Path(entry["stdout"].removeprefix("wrote ").rstrip("\n"))
+            catalog.parent.mkdir(parents=True, exist_ok=True)
+            monkeypatch.setenv("HODGEDIV_CATALOG", str(catalog))
+        result = runner.invoke(main, entry["args"])
+        assert (result.exit_code, result.stdout) == (entry["exit"], entry["stdout"]), entry["args"]
+        if "catalog_sha256" in entry:
+            assert hashlib.sha256(catalog.read_bytes()).hexdigest() == entry["catalog_sha256"]

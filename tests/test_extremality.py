@@ -3,7 +3,6 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from hodgediv.cli import _sample_grid
 from hodgediv.extremality import (
     NonPositiveDenominator,
     Partition,
@@ -13,6 +12,7 @@ from hodgediv.extremality import (
     double_zero_partition,
     kappa_mu,
     psi_degree,
+    sample_grid,
     teich_vector_abelian,
     teich_vector_quadratic,
     threshold_abelian,
@@ -233,7 +233,7 @@ def test_threshold_certificate_soundness_randomized(a, b, c0):
 @pytest.mark.parametrize("g", range(3, 8))
 @pytest.mark.parametrize("kind", ["abelian", "quadratic"])
 def test_certificate_is_sharp_on_sample_grid(kind, g):
-    """At the computed threshold the largest C.(S + d A) over the CLI's
+    """At the computed threshold the largest C.(S + d A) over the
     sample grid is exactly 0, attained only at the binding end of the
     parameter interval (the ample slope a + 12 c0 resp. a + 12 c is > 0)."""
     a, b, c, cmax = Q(1), Q(10), Q(1, 12), Q(3, 2)
@@ -249,7 +249,7 @@ def test_certificate_is_sharp_on_sample_grid(kind, g):
             stratum.basis,
             {"lambda": a, "eta": b, **{f"delta_{i}": c for i in range(g // 2 + 1)}})
         binding = {f"TeichQ(chi={chi},c={cmax})" for chi in range(1, 6)}
-    curves = _sample_grid(kind, g, cmax)
+    curves = sample_grid(kind, g, cmax)
     shifted = stratum + d * ample
     values = {curve.name: pair(curve, shifted) for curve in curves}
     assert max(values.values()) == 0

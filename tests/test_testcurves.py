@@ -6,7 +6,7 @@ import pytest
 
 from hodgediv import catalog, testcurves
 from hodgediv.exactq import InconsistentSystem, UnderdeterminedSystem
-from hodgediv.picard import class_D, class_W, pair
+from hodgediv.picard import PHODGE_ABELIAN, DivisorClass, basis, class_D, class_W, pair
 from hodgediv.testcurves import (
     compute_a_prime,
     curve_A,
@@ -85,8 +85,8 @@ def test_derive_matches_closed_form():
     assert derive_theorem_class(3) == class_D(3)
     assert derive_theorem_class(4) == class_D(4)
     g5 = derive_theorem_class(5)
-    assert g5.as_map() == {"eta": Q(-120), "lambda": Q(172), "delta_0": Q(-15),
-                           "delta_1": Q(-32), "delta_2": Q(-48)}
+    assert g5 == DivisorClass.from_map(basis(PHODGE_ABELIAN, 5), {
+        "eta": Q(-120), "lambda": Q(172), "delta_0": Q(-15), "delta_1": Q(-32), "delta_2": Q(-48)})
     for g in range(2, 13):
         assert derive_theorem_class(g) == class_D(g)
 
