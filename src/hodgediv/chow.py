@@ -12,6 +12,16 @@ Two small exact substrates:
   intersection matrix, plus exceptional classes E_1..E_r with E_i^2 = -1
   and all cross products zero.
 
+Both work over integer numerators with one denominator and build one
+Fraction per output entry.  A product packs each exponent vector into one
+int, a field of b_j + 1 bits per factor with 2^b_j > n_j; adding the offset
+2^b_j - 1 - n_j to a sum of two exponents sets the field's top (guard) bit
+exactly when the sum exceeds n_j.  A power of x = c + n, with c constant and
+n nilpotent, is sum_{j <= N} C(k, j) c^(k-j) n^j for N = n_1 + ... + n_k, so
+it takes at most N products.  A power whose numerators or denominators could
+exceed ``MAX_POWER_BITS`` bits (about 4,200 digits, within Python's default
+4,300-digit limit for printing an int) is refused with a ValueError up front.
+
 :func:`pencil_family` packages the total space of a general pencil of
 curves on P^2 or P^1 x P^1 as such a lattice, with the fiber class, the
 relative dualizing class and the fiber genus computed by adjunction.
@@ -19,10 +29,21 @@ relative dualizing class and the fiber genus computed by adjunction.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Sequence
+
+MAX_POWER_BITS = 14_000
+
+
+def _over_lcm(values: Sequence[Q]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over the lcm of their denominators,
+    and that lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass(frozen=True)
@@ -30,11 +51,23 @@ class MultiProjRing:
     """Product of projective spaces P^{n_1} x ... x P^{n_k}."""
 
     dims: tuple[int, ...]
+    # Packed exponents, derived from ``dims``: (bit position, value mask)
+    # per factor, and the offsets and the guard bits of all the fields.
+    _packing: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.dims or any(n < 1 for n in self.dims):
             raise ValueError("need at least one factor, all of dimension >= 1")
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        dims = tuple(int(n) for n in self.dims)
+        fields, shift, offset, guard = [], 0, 0, 0
+        for n in dims:
+            b = n.bit_length()
+            fields.append((shift, (1 << b) - 1))
+            offset |= ((1 << b) - 1 - n) << shift
+            guard |= 1 << (shift + b)
+            shift += b + 1
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_packing", (tuple(fields), offset, guard))
 
     def generator(self, j: int) -> "ChowElement":
         """Hyperplane class pulled back from the j-th factor (0-based)."""
@@ -60,6 +93,15 @@ class ChowElement:
             e: Q(c) for e, c in terms.items()
             if c != 0 and all(ei <= ni for ei, ni in zip(e, ring.dims))
         }
+
+    @cached_property
+    def _scaled(self) -> tuple[list[tuple[int, int]], int]:
+        """(packed exponent, integer numerator) per term, and the lcm of
+        the term denominators."""
+        nums, den = _over_lcm(list(self.terms.values()))
+        fields = self.ring._packing[0]
+        packed = [sum(e << shift for e, (shift, _) in zip(exp, fields)) for exp in self.terms]
+        return list(zip(packed, nums)), den
 
     def _coerce(self, other):
         if isinstance(other, ChowElement):
@@ -95,28 +137,57 @@ class ChowElement:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "ChowElement":
-        if isinstance(other, (int, Q)):
-            return ChowElement(self.ring, {e: Q(other) * c for e, c in self.terms.items()})
         other = self._coerce(other)
-        out: dict[tuple[int, ...], Q] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if any(ei > ni for ei, ni in zip(e, self.ring.dims)):
-                    continue
-                out[e] = out.get(e, Q(0)) + c1 * c2
-        return ChowElement(self.ring, out)
+        ring = self.ring
+        fields, offset, guard = ring._packing
+        (a, da), (b, db) = self._scaled, other._scaled
+        acc: dict[int, int] = {}
+        get = acc.get
+        for e1, n1 in a:
+            e1 += offset
+            for e2, n2 in b:
+                e = e1 + e2
+                if not e & guard:
+                    acc[e] = get(e, 0) + n1 * n2
+        nums = [(e - offset, n) for e, n in acc.items() if n]
+        den = da * db
+        if den != 1:
+            g = gcd(den, *(n for _, n in nums))
+            den //= g
+            nums = [(e, n // g) for e, n in nums]
+        terms = {tuple([(e >> shift) & mask for shift, mask in fields]):
+                 Q(n) if den == 1 else Q(n, den) for e, n in nums}
+        out = ChowElement.__new__(ChowElement)  # terms are normal already
+        out.ring, out.terms, out._scaled = ring, terms, (nums, den)
+        return out
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "ChowElement":
         if k < 0:
             raise ValueError("negative power")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-            if not out.terms:  # a zero product stays zero
+        ring = self.ring
+        const = (0,) * len(ring.dims)
+        c = self.terms.get(const, Q(0))
+        n = ChowElement(ring, {e: v for e, v in self.terms.items() if e != const}) if c else self
+        top = min(k, sum(ring.dims)) if n.terms else 0
+        # without a constant term, a power past ``top`` is 0: nothing to bound
+        if (c or k == top) and _power_bits(c, n, k, top) > MAX_POWER_BITS:
+            raise ValueError(f"power ^{k} refused: its coefficients could exceed "
+                             f"{MAX_POWER_BITS} bits")
+        out = ring.one()
+        if not c:
+            for _ in range(k):
+                out = out * self
+                if not out.terms:  # a zero product stays zero
+                    break
+            return out
+        nj, out = out, c ** k * out
+        for j in range(1, top + 1):
+            nj = nj * n
+            if not nj.terms:
                 break
+            out = out + comb(k, j) * c ** (k - j) * nj
         return out
 
     def is_linear(self) -> bool:
@@ -131,6 +202,26 @@ class ChowElement:
                             for j, k in enumerate(e) if k)
             parts.append(f"({self.terms[e]})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
+
+
+def _lg(x: int) -> int:
+    """ceil(log2 x) for x >= 1."""
+    return (x - 1).bit_length()
+
+
+def _power_bits(c: Q, n: ChowElement, k: int, top: int) -> int:
+    """A bound B with every numerator and denominator of (c + n)^k at most
+    2^B in absolute value, for a constant c = p/q and an element n without
+    constant term, n^(top+1) = 0 unless top = k.
+
+    With n = M/d, M integral with coefficients summing to s in absolute
+    value, each coefficient of sum_{j <= top} C(k, j) c^(k-j) n^j is an
+    integer at most sum_j k^j |p|^(k-j) (q s)^j d^(top-j) over q^k d^top.
+    """
+    pairs, d = n._scaled
+    qsd = c.denominator * sum(abs(v) for _, v in pairs) * d
+    return (k * _lg(max(abs(c.numerator), c.denominator))
+            + top * (_lg(k) + _lg(qsd)) + _lg(top + 1))
 
 
 def chow_integrate(a: ChowElement) -> Q:
@@ -202,23 +293,19 @@ class BlowUpLattice:
         if self.r < 0:
             raise ValueError("negative number of exceptional classes")
 
-    @property
-    def rank(self) -> int:
-        return len(self.base_gens) + self.r
-
     def cls(self, base_coeffs: Sequence, exc_coeffs: Sequence | Q = Q(0)) -> "LatticeClass":
         """Build a class; a scalar ``exc_coeffs`` means that multiple of
         every exceptional class (so ``cls(..., 1)`` is ... + sum E_i)."""
-        base = tuple(Q(c) for c in base_coeffs)
+        base = [Q(c) for c in base_coeffs]
         if len(base) != len(self.base_gens):
             raise ValueError("base coefficient count mismatch")
         if isinstance(exc_coeffs, (int, Q)):
-            exc = (Q(exc_coeffs),) * self.r
+            exc = [Q(exc_coeffs)] * self.r
         else:
-            exc = tuple(Q(c) for c in exc_coeffs)
+            exc = [Q(c) for c in exc_coeffs]
             if len(exc) != self.r:
                 raise ValueError("exceptional coefficient count mismatch")
-        return LatticeClass(self, base + exc)
+        return LatticeClass(self, *_over_lcm(base + exc))
 
     def exceptional(self, i: int) -> "LatticeClass":
         """The class E_i (0-based)."""
@@ -229,34 +316,42 @@ class BlowUpLattice:
         return self.cls([Q(0)] * len(self.base_gens), exc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatticeClass:
+    """Integer numerators ``nums`` (base generators, then E_1..E_r) over one
+    positive denominator ``den``, in lowest terms; ``coeffs`` is the dense
+    Fraction vector, built on first use."""
+
     lattice: BlowUpLattice
-    coeffs: tuple[Q, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.lattice.rank:
-            raise ValueError("coefficient vector length does not match lattice rank")
-        object.__setattr__(self, "coeffs", tuple(Q(c) for c in self.coeffs))
+    def __init__(self, lattice: BlowUpLattice, nums: Sequence[int], den: int):
+        g = gcd(den, *nums)
+        # frozen: the fields are set once, here
+        vars(self).update(lattice=lattice, nums=tuple(v // g for v in nums), den=den // g)
 
-    def _check(self, other: "LatticeClass"):
-        if self.lattice != other.lattice:
-            raise ValueError("classes live in different lattices")
+    @cached_property
+    def coeffs(self) -> tuple[Q, ...]:
+        return tuple(Q(v, self.den) for v in self.nums)
 
     def __add__(self, other: "LatticeClass") -> "LatticeClass":
-        self._check(other)
-        return LatticeClass(self.lattice, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.lattice != other.lattice:
+            raise ValueError("classes live in different lattices")
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return LatticeClass(self.lattice, [s * a + t * b for a, b in zip(self.nums, other.nums)], den)
 
     def __sub__(self, other: "LatticeClass") -> "LatticeClass":
-        self._check(other)
-        return LatticeClass(self.lattice, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "LatticeClass":
-        return LatticeClass(self.lattice, tuple(-a for a in self.coeffs))
+        return LatticeClass(self.lattice, [-a for a in self.nums], self.den)
 
     def scale(self, t) -> "LatticeClass":
         t = Q(t)
-        return LatticeClass(self.lattice, tuple(t * a for a in self.coeffs))
+        return LatticeClass(self.lattice, [t.numerator * a for a in self.nums],
+                            t.denominator * self.den)
 
     __mul__ = scale
     __rmul__ = scale
@@ -264,17 +359,14 @@ class LatticeClass:
 
 def lattice_intersect(u: LatticeClass, v: LatticeClass) -> Q:
     """Value of the intersection form: base block by the stored matrix,
-    exceptional block -identity, no cross terms."""
+    exceptional block -identity, no cross terms; summed over the integers."""
     if u.lattice != v.lattice:
         raise ValueError("classes live in different lattices")
     lat = u.lattice
     n = len(lat.base_gens)
-    total = Q(0)
-    for i, j in itertools.product(range(n), range(n)):
-        total += u.coeffs[i] * lat.base_matrix[i][j] * v.coeffs[j]
-    for i in range(lat.r):
-        total -= u.coeffs[n + i] * v.coeffs[n + i]
-    return total
+    a, b = u.nums, v.nums
+    base = sum(a[i] * sum(map(mul, row, b)) for i, row in enumerate(lat.base_matrix))
+    return Q(base - sum(map(mul, a[n:], b[n:])), u.den * v.den)
 
 
 # ---------------------------------------------------------------------------

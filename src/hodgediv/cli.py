@@ -229,13 +229,19 @@ def cmd_teich_pair(kind, genus, chi, lyapunov, carea, as_json):
     _emit(payload, text, as_json)
 
 
-def _threshold(kind, genus, a: Q, b: Q, c0: str, c: str, cmax: str) -> Q:
-    """Threshold d for a*lambda + b*eta + the boundary part of ``kind``; of
-    c0, c and cmax it parses only those that ``kind`` reads."""
+def _rationals(a: str, b: str, c0: str, c: str, cmax: str) -> list[Q]:
+    """-a, -b, --c0, --c and --cmax as rationals, each parsed whether or not
+    ``--kind`` reads it, so a malformed value is an error in every command
+    and kind."""
+    return [_parse(v, label) for v, label in
+            ((a, "-a"), (b, "-b"), (c0, "--c0"), (c, "--c"), (cmax, "--cmax"))]
+
+
+def _threshold(kind, genus, a: Q, b: Q, c0: Q, c: Q, cmax: Q) -> Q:
+    """Threshold d for a*lambda + b*eta + the boundary part of ``kind``."""
     if kind == "abelian":
-        return extremality.threshold_abelian(a, b, _parse(c0, "--c0"), genus)
-    return extremality.threshold_quadratic(a, b, _parse(c, "--c"), genus,
-                                           _parse(cmax, "--cmax"))
+        return extremality.threshold_abelian(a, b, c0, genus)
+    return extremality.threshold_quadratic(a, b, c, genus, cmax)
 
 
 @main.command("threshold")
@@ -249,7 +255,7 @@ def _threshold(kind, genus, a: Q, b: Q, c0: str, c: str, cmax: str) -> Q:
 @click.option("--json", "as_json", is_flag=True)
 def cmd_threshold(kind, genus, a, b, c0, c, cmax, as_json):
     """Negativity threshold d for an ample class a*lambda + b*eta + ..."""
-    d = format_rational(_threshold(kind, genus, _parse(a, "-a"), _parse(b, "-b"), c0, c, cmax))
+    d = format_rational(_threshold(kind, genus, *_rationals(a, b, c0, c, cmax)))
     _emit({"command": "threshold",
            "inputs": {"kind": kind, "genus": genus, "a": a, "b": b,
                       "c0": c0, "c": c, "cmax": cmax},
@@ -269,16 +275,14 @@ def cmd_threshold(kind, genus, a, b, c0, c, cmax, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_certify(kind, genus, a, b, c0, c, cmax, d_value, as_json):
     """Run the negativity certificate on a parameter grid of curves."""
-    aq, bq = _parse(a, "-a"), _parse(b, "-b")
-    cmax_q = _parse(cmax, "--cmax")
+    aq, bq, c0q, cq, cmax_q = values = _rationals(a, b, c0, c, cmax)
     if kind == "abelian":
         stratum = picard.class_stratum_abelian(genus)
-        boundary = {"delta_0": _parse(c0, "--c0")}
+        boundary = {"delta_0": c0q}
     else:
         stratum = picard.class_stratum_quadratic(genus)
-        cq = _parse(c, "--c")
         boundary = {f"delta_{i}": cq for i in range(genus // 2 + 1)}
-    d = _parse(d_value, "-d") if d_value else _threshold(kind, genus, aq, bq, c0, c, cmax)
+    d = _parse(d_value, "-d") if d_value else _threshold(kind, genus, *values)
     ample = picard.DivisorClass.from_map(stratum.basis, {"lambda": aq, "eta": bq, **boundary})
     result = extremality.certificate_check(
         stratum, ample, d, extremality.sample_grid(kind, genus, cmax_q))

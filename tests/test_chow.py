@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hodgediv.chow import (
+    MAX_POWER_BITS,
     BlowUpLattice,
+    ChowElement,
+    LatticeClass,
     MultiProjRing,
     adjunction_canonical,
     chow_integrate,
@@ -207,3 +211,150 @@ def test_expression_nesting_limit():
         evaluate("(" * (n + 1) + "a" + ")" * (n + 1), ring)
     with pytest.raises(ExpressionError, match="deeper than"):
         evaluate("-" * (n + 1) + "a", ring)
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against plain Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+def _reference_product(x, y) -> dict:
+    """Term-by-term Fraction product, the oracle for ``ChowElement.__mul__``."""
+    out = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if all(ei <= ni for ei, ni in zip(e, x.ring.dims)):
+                out[e] = out.get(e, Q(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+# Small coefficients collide and cancel often; the others are negative and
+# non-integral, with denominators up to 10^4.
+COEFFS = st.one_of(st.sampled_from([Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(-3, 7)]),
+                   st.fractions(min_value=-50, max_value=50, max_denominator=10**4))
+
+
+@st.composite
+def ring_and_elements(draw, count=2):
+    ring = MultiProjRing(tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))))
+    exps = st.tuples(*(st.integers(0, n) for n in ring.dims))
+    return ring, [ChowElement(ring, draw(st.dictionaries(exps, COEFFS, max_size=5)))
+                  for _ in range(count)]
+
+
+def _assert_normal(x):
+    for e, c in x.terms.items():
+        assert type(c) is Q and c != 0
+        assert len(e) == len(x.ring.dims) and all(0 <= ei <= ni for ei, ni in zip(e, x.ring.dims))
+
+
+@settings(max_examples=300)
+@given(ring_and_elements())
+def test_product_matches_fraction_reference(case):
+    ring, (x, y) = case
+    for prod, ref in ((x * y, _reference_product(x, y)), (x * x, _reference_product(x, x))):
+        assert prod.terms == ref
+        _assert_normal(prod)
+    # a product of products reads the factors' cached integer form
+    assert ((x * y) * y).terms == _reference_product(ChowElement(ring, _reference_product(x, y)), y)
+
+
+def test_product_cancels_to_zero_terms():
+    ring = MultiProjRing((1, 2))
+    a, b = ring.generators()
+    x, y = Q(1, 3) + Q(2, 7) * a + b, Q(-1, 3) + Q(2, 7) * a + b
+    prod = x * y
+    assert prod.terms == _reference_product(x, y)
+    assert (0, 0) in prod.terms and (1, 0) not in prod.terms and (0, 1) not in prod.terms
+    _assert_normal(prod)
+    assert ((a + b) * (a - b) * a).terms == {(1, 2): Q(-1)}
+    assert (a * 0).terms == {} and (0 * (a + b)).terms == {}
+
+
+@settings(max_examples=200)
+@given(ring_and_elements(count=1), st.integers(0, 6))
+def test_power_matches_repeated_fraction_products(case, k):
+    """The binomial expansion (constant term) and the product sequence (none)
+    both equal k term-by-term products."""
+    ring, (x,) = case
+    ref = ring.one().terms
+    for _ in range(k):
+        ref = _reference_product(ChowElement(ring, ref), x)
+    power = x ** k
+    assert power.terms == ref
+    _assert_normal(power)
+
+
+def test_binomial_power_of_huge_exponent():
+    ring = MultiProjRing((1,))
+    (a,) = ring.generators()
+    assert (1 + a) ** 10**6 == 1 + 10**6 * a
+    assert (Q(-1, 2) + 3 * a) ** 5 == Q(-1, 32) + Q(15, 16) * a
+    assert (1 - a) ** 10**12 == 1 - 10**12 * a
+    assert (a ** 10**9).terms == {}
+
+
+def test_power_size_cap():
+    """A power whose coefficients could pass MAX_POWER_BITS is refused before
+    any product; the constant term bounds the size from below."""
+    ring = MultiProjRing((1,))
+    (a,) = ring.generators()
+    two = 2 * ring.one()
+    assert chow_integrate(two ** MAX_POWER_BITS * a) == 2 ** MAX_POWER_BITS
+    for base, k in ((two, MAX_POWER_BITS + 1), (two, 10**9), (Q(1, 2) + a, 10**9),
+                    (3 + a, MAX_POWER_BITS)):
+        with pytest.raises(ValueError, match="refused"):
+            base ** k
+
+
+BASE_LATTICES = {
+    "P2": (("h",), ((1,),)),
+    "P1xP1": (("l1", "l2"), ((0, 1), (1, 0))),
+}
+
+
+@st.composite
+def lattice_and_classes(draw):
+    """Two classes of a lattice with r up to 70; their entries come from a
+    seeded generator, which draws them much faster than 140 strategy draws."""
+    gens, matrix = BASE_LATTICES[draw(st.sampled_from(sorted(BASE_LATTICES)))]
+    lat = BlowUpLattice(gens, matrix, draw(st.integers(0, 70)))
+    rank = len(gens) + lat.r
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = [Q(0), Q(1), Q(-1), Q(1, 2), Q(-1, 2)]
+    vectors = [[rng.choice(pool) if rng.random() < 0.4 else
+                Q(rng.randint(-50, 50), rng.randint(1, 10**4)) for _ in range(rank)]
+               for _ in range(2)]
+    return lat, [lat.cls(v[:len(gens)], v[len(gens):]) for v in vectors], vectors
+
+
+def _reference_form(lat, u, v):
+    n = len(lat.base_gens)
+    return (sum((u[i] * lat.base_matrix[i][j] * v[j] for i in range(n) for j in range(n)), Q(0))
+            - sum((u[i] * v[i] for i in range(n, len(u))), Q(0)))
+
+
+@settings(max_examples=300)
+@given(lattice_and_classes(), COEFFS | st.just(Q(0)))
+def test_lattice_arithmetic_matches_fractions(case, t):
+    lat, (u, v), (uq, vq) = case
+    assert u.coeffs == tuple(uq) and v.coeffs == tuple(vq)
+    assert (u + v).coeffs == tuple(a + b for a, b in zip(uq, vq))
+    assert (u - v).coeffs == tuple(a - b for a, b in zip(uq, vq))
+    assert (-u).coeffs == tuple(-a for a in uq)
+    assert u.scale(t).coeffs == (t * u).coeffs == (u * t).coeffs == tuple(t * a for a in uq)
+    assert lattice_intersect(u, v) == _reference_form(lat, uq, vq)
+    assert lattice_intersect(u.scale(t), v) == t * _reference_form(lat, uq, vq)
+    for w in (u + v, u - v, u.scale(t)):
+        assert w.den > 0 and gcd(w.den, *w.nums) == 1
+        assert all(type(c) is Q for c in w.coeffs)
+
+
+def test_lattice_class_normal_form():
+    lat = BlowUpLattice(("l1", "l2"), ((0, 1), (1, 0)), 70)
+    half = lat.cls((Q(2, 4), 0), Q(-2, 4))
+    assert half == lat.cls((Q(1, 2), 0), Q(-1, 2)) == LatticeClass(lat, (2, 0) + (-2,) * 70, 4)
+    assert hash(half) == hash(LatticeClass(lat, (1, 0) + (-1,) * 70, 2))
+    assert lat.cls((2, 0), -2).scale(Q(1, 4)) == half
+    assert (half - half) == lat.cls((0, 0)) and (half - half).den == 1
+    assert half.coeffs[:3] == (Q(1, 2), Q(0), Q(-1, 2))

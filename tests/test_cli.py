@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from hodgediv.cli import main
 
@@ -105,6 +106,40 @@ def test_chow_eval_huge_power_of_nilpotent_class(runner):
     assert result.output.strip() == "0"
 
 
+def test_chow_eval_binomial_power(runner):
+    # (1+a)^k = 1 + k a on P^1, expanded without k products
+    result = runner.invoke(main, ["chow", "eval", "(1+a)^1000000", "--dims", "1"])
+    assert result.exit_code == 0
+    assert result.output.strip() == "1000000"
+
+
+@pytest.mark.parametrize("expression", ["2^20000*a", "2^1000000000*a", "(1+a)^1000000000*3^9000"])
+def test_chow_eval_power_past_the_cap_exits_2(runner, expression):
+    assert "refused" in _one_error_line(
+        runner.invoke(main, ["chow", "eval", expression, "--dims", "1"]))
+
+
+# Tokens of chow expressions: generators, small integers, operators, small
+# exponents and exponents past the power cap.
+_CHOW_TOKENS = st.one_of(
+    st.sampled_from(["a", "b", "c", "+", "-", "*", "(", ")", "^", " "]),
+    st.integers(0, 12).map(str),
+    st.sampled_from(["^2", "^3", "^7", "^20000", "^1000000000"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CHOW_TOKENS, max_size=25).map("".join),
+       st.lists(st.integers(0, 4), min_size=1, max_size=3).map(lambda d: ",".join(map(str, d))))
+def test_chow_eval_fuzz_keeps_the_exit_code_contract(expression, dims):
+    # "--" keeps an expression that starts with "-" from reading as an option
+    result = CliRunner().invoke(main, ["chow", "eval", "--dims", dims, "--", expression])
+    assert result.exit_code in (0, 2), (result.output, result.exception)
+    assert "Traceback" not in result.output + result.stderr
+    if result.exit_code == 2:
+        _one_error_line(result)
+
+
 def test_teich_pair_quadratic(runner):
     result = runner.invoke(main, ["teich", "pair", "--kind", "quadratic",
                                   "--genus", "3", "--chi", "2", "--carea", "1/2"])
@@ -158,6 +193,22 @@ def test_threshold_nonpositive_denominator_exits_2(runner):
 ])
 def test_invalid_certificate_input_exits_2(runner, args):
     _one_error_line(runner.invoke(main, args))
+
+
+@pytest.mark.parametrize("options", [
+    ["--kind", "abelian", "--c", "x"],
+    ["--kind", "abelian", "--cmax", "x"],
+    ["--kind", "quadratic", "--c0", "x"],
+    ["--kind", "quadratic", "--c", "1/3", "--cmax", "2", "--c0", "x"],
+    ["--kind", "abelian", "--c0", "1", "--c", "x", "-d", "1"],
+], ids=["abelian-c", "abelian-cmax", "quadratic-c0", "quadratic-c0-all-set", "abelian-c-d"])
+@pytest.mark.parametrize("command", ["threshold", "certify"])
+def test_malformed_unused_value_exits_2(runner, command, options):
+    """Both commands parse every boundary value, whichever ``--kind`` reads."""
+    if command == "threshold" and "-d" in options:
+        options = options[:-2]
+    result = runner.invoke(main, [command, "--genus", "3", "-a", "1", "-b", "2", *options])
+    assert "must be a rational p/q, got 'x'" in _one_error_line(result)
 
 
 def test_catalog_write_unwritable_path_exits_2(runner, tmp_path, monkeypatch):
