@@ -5,14 +5,18 @@ literals, integer powers (``^``) and parentheses.  Multiplication may be
 written ``*`` or by juxtaposition, so ``2b`` and ``(a+3b)`` work as
 expected.  Generators are named ``a``, ``b``, ``c``, ... in factor order.
 Parentheses and unary minus signs nest at most ``MAX_NESTING`` levels deep.
+An integer literal or a product with a coefficient past 2^MAX_POWER_BITS
+is refused, as :mod:`hodgediv.chow` refuses a power that could pass it;
+the coefficients are integers, so a sum adds at most one bit per term.
 """
 
 from __future__ import annotations
 
 import re
 import string
+from math import log10
 
-from .chow import ChowElement, MultiProjRing
+from .chow import MAX_POWER_BITS, ChowElement, MultiProjRing
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*^()]))")
 
@@ -21,9 +25,17 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*^()]))")
 # Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
+_CAP = 1 << MAX_POWER_BITS  # 2^MAX_POWER_BITS
+_CAP_DIGITS = int(MAX_POWER_BITS * log10(2)) + 1  # decimal digits of _CAP
+
 
 class ExpressionError(ValueError):
     pass
+
+
+def _refused(what: str) -> ExpressionError:
+    return ExpressionError(f"{what} refused: a coefficient exceeds the "
+                           f"{MAX_POWER_BITS:,}-bit cap")
 
 
 def default_generator_names(k: int) -> list[str]:
@@ -99,12 +111,12 @@ class _Parser:
             tok = self.peek()
             if tok == ("op", "*"):
                 self.take()
-                value = value * self.power()
-            elif tok is not None and (tok[0] in ("int", "name") or tok == ("op", "(")):
-                # juxtaposition, e.g. "2b" or "(a+b)(a+3b)"
-                value = value * self.power()
-            else:
+            elif tok is None or not (tok[0] in ("int", "name") or tok == ("op", "(")):
                 return value
+            # "*" or juxtaposition, e.g. "2b" or "(a+b)(a+3b)"
+            value = value * self.power()
+            if any(abs(q.numerator) > _CAP for q in value.terms.values()):
+                raise _refused("product")
 
     def power(self) -> ChowElement:
         base = self.atom()
@@ -119,7 +131,12 @@ class _Parser:
     def atom(self) -> ChowElement:
         kind, text = self.take()
         if kind == "int":
-            return int(text) * self.ring.one()
+            digits = text.lstrip("0") or "0"
+            # more digits than 2^MAX_POWER_BITS has: past the cap, and maybe
+            # too long for int()
+            if len(digits) > _CAP_DIGITS or (n := int(digits)) > _CAP:
+                raise _refused("integer literal")
+            return n * self.ring.one()
         if kind == "name":
             if text not in self.env:
                 raise ExpressionError(f"unknown generator {text!r}")

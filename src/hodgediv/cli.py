@@ -170,7 +170,7 @@ def cmd_chow():
     """Chow-ring arithmetic in products of projective spaces."""
 
 
-@cmd_chow.command("eval")
+@cmd_chow.command("eval", context_settings={"ignore_unknown_options": True})
 @click.argument("expression")
 @click.option("--dims", required=True,
               help="comma-separated factor dimensions, e.g. 1,3")

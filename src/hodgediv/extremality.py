@@ -8,6 +8,9 @@ area Siegel-Veech constant c_area >= 0.  The intersection numbers with
 eta, lambda and the boundary are explicit rational expressions in these
 parameters, and the pairing with the double-zero stratum class collapses
 to -chi/3 (abelian) resp. -chi/2 (quadratic) independently of L / c_area.
+Each entry is built as one Fraction from the integer numerators and
+denominators of the parameters and of kappa_mu, so it takes the value of
+its Fraction formula at the cost of one reduction.
 
 The certificate machinery implements the negativity condition
 ``C . (D + d A) <= 0``: a threshold d is computed as the infimum of the
@@ -116,16 +119,19 @@ def kappa_mu(p: Partition) -> Q:
 def teich_vector_abelian(g: int, p: Partition, t: TeichParamsAbelian) -> CurveRecord:
     """Intersection vector of an abelian-stratum Teichmueller curve:
     eta = chi/2, lambda = chi L / 2, delta_0 = (chi/2)(12L - 12 kappa_mu),
-    higher boundary zero."""
+    higher boundary zero.  With chi = n/q, L = r/s and kappa_mu = u/v each
+    entry is one Fraction of integer numerator and denominator:
+    n/(2q), nr/(2qs) and 6n(rv - su)/(qsv)."""
     if p.kind != "abelian" or p.g != g:
         raise ValueError("partition is not an abelian partition for this genus")
-    km = kappa_mu(p)
-    b = basis(PHODGE_ABELIAN, g)
+    n, q = t.chi.as_integer_ratio()
+    r, s = t.L.as_integer_ratio()
+    u, v = kappa_mu(p).as_integer_ratio()
     return CurveRecord.from_map(
-        f"Teich(chi={t.chi},L={t.L})", b,
-        {"eta": t.chi / 2,
-         "lambda": t.chi * t.L / 2,
-         "delta_0": (t.chi / 2) * (12 * t.L - 12 * km)})
+        f"Teich(chi={t.chi},L={t.L})", basis(PHODGE_ABELIAN, g),
+        {"eta": Q(n, 2 * q),
+         "lambda": Q(n * r, 2 * q * s),
+         "delta_0": Q(6 * n * (r * v - s * u), q * s * v)})
 
 
 def psi_degree(t: TeichParamsAbelian, p: Partition, m_i: int) -> Q:
@@ -148,16 +154,19 @@ def teich_vector_quadratic(g: int, p: Partition, t: TeichParamsQuadratic) -> Cur
     """Intersection data of a quadratic-stratum Teichmueller curve:
     eta = chi, lambda = (chi/2)(c_area + kappa), and the total boundary
     pairing 6 chi c_area recorded as a single number (the double-zero
-    stratum class has uniform boundary coefficients)."""
+    stratum class has uniform boundary coefficients).  With chi = n/q,
+    c_area = r/s and kappa_mu = u/v, lambda is one Fraction
+    n(rv + su)/(2qsv) and the total boundary 6nr/(qs)."""
     if p.kind != "quadratic" or p.g != g:
         raise ValueError("partition is not a quadratic partition for this genus")
-    km = kappa_mu(p)
-    b = basis(PHODGE_QUADRATIC, g)
+    n, q = t.chi.as_integer_ratio()
+    r, s = t.c_area.as_integer_ratio()
+    u, v = kappa_mu(p).as_integer_ratio()
     return CurveRecord.from_map(
-        f"TeichQ(chi={t.chi},c={t.c_area})", b,
+        f"TeichQ(chi={t.chi},c={t.c_area})", basis(PHODGE_QUADRATIC, g),
         {"eta": t.chi,
-         "lambda": (t.chi / 2) * (t.c_area + km)},
-        total_delta=6 * t.chi * t.c_area)
+         "lambda": Q(n * (r * v + s * u), 2 * q * s * v)},
+        total_delta=Q(6 * n * r, q * s))
 
 
 def _interval_infimum(const: Q, slope: Q, lo: Q, hi: Q, numerator: Q) -> Q:
@@ -249,6 +258,6 @@ def certificate_check(divisor: DivisorClass, ample: DivisorClass, d: Q,
     violations = []
     for c in curves:
         value = pair(c, shifted)
-        if value > 0:
+        if value.numerator > 0:
             violations.append((c.name, value))
     return CertificateReport(not violations, d, tuple(violations))

@@ -94,6 +94,14 @@ class DivisorClass:
     def coeffs(self) -> tuple[Q, ...]:
         return _dense(self.basis, self.nonzero)
 
+    @cached_property
+    def _uniform_boundary(self) -> Q | None:
+        """The coefficient every ``delta_*`` symbol shares (0 when the basis
+        has none), or None when the boundary coefficients differ."""
+        deltas = {self.nonzero.get(i, ZERO) for i, s in enumerate(self.basis.symbols)
+                  if s.startswith("delta_")} or {ZERO}
+        return deltas.pop() if len(deltas) == 1 else None
+
     @classmethod
     def from_map(cls, b: BasisSpec, coeffs: dict[str, Q]) -> "DivisorClass":
         return cls(b, nonzero={b.index(sym): c for sym, c in coeffs.items()})
@@ -181,25 +189,26 @@ def pair(curve: CurveRecord, c: DivisorClass) -> Q:
     """Intersection number of a recorded curve with a divisor class.
 
     Walks the curve's nonzero entries and looks each one up in the class.
+    A curve's ``total_delta`` pairs with the class's common boundary
+    coefficient, which is found, and checked to be uniform, once per class.
     Exact, with one reduction: the products are summed as an integer
     numerator over the running lcm of their denominators, and a single
     Fraction is built at the end.
     """
-    if curve.basis != c.basis:
+    if curve.basis is not c.basis and curve.basis != c.basis:
         raise ValueError("curve and class live over different bases")
     if curve.nonzero is None:
         raise ValueError(f"curve {curve.name!r} has no committed intersection vector")
     coeffs = c.nonzero
     terms = [(v, coeffs[i]) for i, v in curve.nonzero.items() if i in coeffs]
     if curve.total_delta is not None:
-        deltas = [coeffs.get(i, ZERO) for i, s in enumerate(c.basis.symbols)
-                  if s.startswith("delta_")]
-        if any(a != deltas[0] for a in deltas[1:]):
+        boundary = c._uniform_boundary
+        if boundary is None:
             raise ValueError(
                 "curve records only a total boundary pairing but the class has "
                 "non-uniform boundary coefficients")
-        if deltas:
-            terms.append((curve.total_delta, deltas[0]))
+        if boundary:
+            terms.append((curve.total_delta, boundary))
     num, den = 0, 1
     for v, a in terms:
         tn = v.numerator * a.numerator

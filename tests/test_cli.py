@@ -119,6 +119,39 @@ def test_chow_eval_power_past_the_cap_exits_2(runner, expression):
         runner.invoke(main, ["chow", "eval", expression, "--dims", "1"]))
 
 
+@pytest.mark.parametrize("args", [["-a", "--dims", "1"], ["-a*b+2", "--dims", "1,1"],
+                                  ["--dims", "1", "--", "-a"], ["--dims", "1", "-a"]])
+def test_chow_eval_expression_may_start_with_minus(runner, args):
+    result = runner.invoke(main, ["chow", "eval", *args])
+    assert (result.exit_code, result.output) == (0, "-1\n")
+
+
+@pytest.mark.parametrize("args", [["a", "--dimz", "1"], ["--dimz", "1", "a"],
+                                  ["a", "--dims", "1", "--dimz", "1"]])
+def test_chow_eval_unknown_option_exits_2(runner, args):
+    result = runner.invoke(main, ["chow", "eval", *args])
+    assert result.exit_code == 2
+    assert "Error: " in result.stderr and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("expression", [
+    "8^3000*8^3000*a",
+    "9" * 5000 + "*a",
+    f"{2 ** 14000 + 1}a",
+    "3(2^7000)(2^7000)a",
+], ids=["product-of-powers", "long-literal", "literal-past-the-cap", "juxtaposed-product"])
+def test_chow_eval_coefficient_past_the_cap_exits_2(runner, expression):
+    assert "14,000-bit cap" in _one_error_line(
+        runner.invoke(main, ["chow", "eval", expression, "--dims", "1"]))
+
+
+def test_chow_eval_coefficient_at_the_cap(runner):
+    for expression in (f"{2 ** 14000}a", "2^7000*2^7000*a", "0" * 5000 + "7a"):
+        result = runner.invoke(main, ["chow", "eval", expression, "--dims", "1"])
+        assert result.exit_code == 0
+        assert result.output.strip() == str(2 ** 14000 if "2" in expression else 7)
+
+
 # Tokens of chow expressions: generators, small integers, operators, small
 # exponents and exponents past the power cap.
 _CHOW_TOKENS = st.one_of(
@@ -132,11 +165,53 @@ _CHOW_TOKENS = st.one_of(
 @given(st.lists(_CHOW_TOKENS, max_size=25).map("".join),
        st.lists(st.integers(0, 4), min_size=1, max_size=3).map(lambda d: ",".join(map(str, d))))
 def test_chow_eval_fuzz_keeps_the_exit_code_contract(expression, dims):
-    # "--" keeps an expression that starts with "-" from reading as an option
+    # "--" keeps an expression such as "--" from reading as the end of options
     result = CliRunner().invoke(main, ["chow", "eval", "--dims", dims, "--", expression])
     assert result.exit_code in (0, 2), (result.output, result.exception)
     assert "Traceback" not in result.output + result.stderr
     if result.exit_code == 2:
+        _one_error_line(result)
+
+
+# Option values for the certificate commands: rationals p/q, integers,
+# 40-digit numbers and malformed values.
+_VALUES = st.one_of(
+    st.builds("{}/{}".format, st.integers(-60, 60), st.integers(1, 60)),
+    st.integers(-60, 60).map(str),
+    st.integers(-10**40 + 1, 10**40 - 1).map(str),
+    st.sampled_from(["0", "-0", "1/0", "x", "", " 3 ", "1/-2", "2/4"]),
+)
+
+
+@st.composite
+def certificate_commands(draw):
+    """``teich pair``, ``threshold`` or ``certify`` with genus 2..40 and
+    a drawn subset of the value options."""
+    command = draw(st.sampled_from([["teich", "pair"], ["threshold"], ["certify"]]))
+    args = command + ["--kind", draw(st.sampled_from(["abelian", "quadratic"])),
+                      "--genus", str(draw(st.integers(2, 40)))]
+    if command == ["teich", "pair"]:
+        required, optional = ["--chi"], ["--lyapunov", "--carea"]
+    else:
+        required, optional = ["-a", "-b"], ["--c0", "--c", "--cmax"]
+        optional += ["-d"] if command == ["certify"] else []
+    for option in required + [o for o in optional if draw(st.booleans())]:
+        args += [option, draw(_VALUES)]
+    return args + (["--json"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_commands())
+def test_certificate_commands_fuzz_keep_the_exit_code_contract(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), (result.output, result.exception)
+    assert "Traceback" not in result.output + result.stderr
+    if result.exit_code == 1:
+        assert args[0] == "certify"
+        verdict = (json.loads(result.stdout)["verdict"] if "--json" in args
+                   else result.stdout.split()[0])
+        assert verdict == "FAIL"
+    elif result.exit_code == 2:
         _one_error_line(result)
 
 

@@ -19,6 +19,7 @@ from hodgediv.extremality import (
     threshold_quadratic,
 )
 from hodgediv.picard import (
+    CurveRecord,
     DivisorClass,
     class_stratum_abelian,
     class_stratum_quadratic,
@@ -114,6 +115,51 @@ def test_quadratic_vector_entries():
     assert rec.entry("lambda") == kappa_mu(p)  # chi/2 * kappa with chi = 2
     rec2 = teich_vector_quadratic(2, p, TeichParamsQuadratic(Q(2), Q(1)))
     assert rec2.entry("lambda") == Q(91, 72)
+
+
+def reference_vector(kind, p, t):
+    """The entries, total boundary and name of a Teichmueller curve from the
+    Fraction formulas, one Fraction operation at a time."""
+    km = kappa_mu(p)
+    if kind == "abelian":
+        return ({"eta": t.chi / 2, "lambda": t.chi * t.L / 2,
+                 "delta_0": (t.chi / 2) * (12 * t.L - 12 * km)},
+                None, f"Teich(chi={t.chi},L={t.L})")
+    return ({"eta": t.chi, "lambda": (t.chi / 2) * (t.c_area + km)},
+            6 * t.chi * t.c_area, f"TeichQ(chi={t.chi},c={t.c_area})")
+
+
+@st.composite
+def teich_curves(draw):
+    """A stratum kind, a genus 2..60 and curve parameters with denominators
+    up to 10^4, the interval ends and L = kappa_mu drawn often."""
+    kind = draw(st.sampled_from(["abelian", "quadratic"]))
+    g = draw(st.integers(min_value=2, max_value=60))
+    p = double_zero_partition(kind, g)
+    chi = draw(st.fractions(min_value=Q(1, 10**4), max_value=10**4, max_denominator=10**4))
+    if kind == "abelian":
+        L = draw(st.sampled_from([Q(0), kappa_mu(p), Q(g)])
+                 | st.fractions(min_value=0, max_value=g, max_denominator=10**4))
+        return kind, g, p, TeichParamsAbelian(chi, L, g)
+    c_area = draw(st.just(Q(0)) | st.fractions(min_value=0, max_value=10**4,
+                                                max_denominator=10**4))
+    return kind, g, p, TeichParamsQuadratic(chi, c_area)
+
+
+@given(teich_curves())
+def test_teich_vectors_equal_the_fraction_formulas(curve):
+    """The vectors built from integer numerators hold the same reduced
+    Fractions, zero entries dropped, as the Fraction formulas."""
+    kind, g, p, t = curve
+    build = teich_vector_abelian if kind == "abelian" else teich_vector_quadratic
+    rec = build(g, p, t)
+    entries, total_delta, name = reference_vector(kind, p, t)
+    expected = CurveRecord.from_map(name, rec.basis, entries, total_delta=total_delta)
+    assert rec.name == name
+    assert rec.nonzero == expected.nonzero
+    assert rec.vector == expected.vector
+    assert rec.total_delta == total_delta
+    assert all(type(v) is Q for v in (*rec.nonzero.values(), rec.total_delta or Q(0)))
 
 
 def test_psi_degree():

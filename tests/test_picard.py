@@ -194,6 +194,54 @@ def test_pair_is_bilinear(problem):
     assert pair(curve, x.scale(t)) == t * pair(curve, x)
 
 
+@st.composite
+def curves_over(draw, b, total_delta):
+    """Sparse curve records over ``b``, some with a total boundary pairing."""
+    n = len(b.symbols)
+    return [CurveRecord(f"c{k}", b, nonzero=draw(st.dictionaries(st.integers(0, n - 1),
+                                                                   wide_rationals, max_size=3)),
+                        total_delta=draw(total_delta))
+            for k in range(draw(st.integers(min_value=2, max_value=6)))]
+
+
+@given(st.data())
+def test_pair_reuses_one_class_as_a_fresh_one(data):
+    """One class paired with many curves, the boundary found once for it,
+    gives what a fresh, equal class gives on each curve."""
+    b = basis(data.draw(st.sampled_from([PHODGE_ABELIAN, PHODGE_QUADRATIC])),
+              data.draw(st.integers(min_value=2, max_value=60)))
+    n = len(b.symbols)
+    boundary = data.draw(st.just(Q(0)) | wide_rationals)
+    entries = data.draw(st.dictionaries(st.integers(0, 1), wide_rationals))
+    c = DivisorClass(b, nonzero={**entries, **dict.fromkeys(range(2, n), boundary)})
+    for curve in data.draw(curves_over(b, st.none() | wide_rationals)):
+        fresh = DivisorClass(b, nonzero=dict(c.nonzero))
+        assert fresh == c and fresh is not c
+        assert pair(curve, c) == pair(curve, fresh) == plain_pair(curve, fresh)
+
+
+@given(st.data())
+def test_non_uniform_boundary_raises_on_every_total_delta_curve(data):
+    """A class whose boundary coefficients differ raises on each curve that
+    records a total boundary pairing, the second call too, and pairs every
+    curve that carries only a vector."""
+    g = data.draw(st.integers(min_value=2, max_value=60))
+    b = basis(data.draw(st.sampled_from([PHODGE_ABELIAN, PHODGE_QUADRATIC])), g)
+    n = len(b.symbols)
+    boundary = data.draw(st.just(Q(0)) | wide_rationals)
+    odd = data.draw(wide_rationals.filter(lambda v: v != boundary))
+    c = DivisorClass(b, nonzero={0: data.draw(wide_rationals),
+                                 **dict.fromkeys(range(2, n), boundary),
+                                 data.draw(st.integers(2, n - 1)): odd})
+    for curve in data.draw(curves_over(b, st.none() | wide_rationals)):
+        if curve.total_delta is None:
+            assert pair(curve, c) == plain_pair(curve, c)
+            continue
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-uniform boundary"):
+                pair(curve, c)
+
+
 def test_dense_and_sparse_classes_agree():
     b = basis(PHODGE_ABELIAN, 6)
     dense = (Q(0), Q(3), Q(0), Q(-1, 2), Q(0), Q(0))
