@@ -18,9 +18,10 @@ int, a field of b_j + 1 bits per factor with 2^b_j > n_j; adding the offset
 2^b_j - 1 - n_j to a sum of two exponents sets the field's top (guard) bit
 exactly when the sum exceeds n_j.  A power of x = c + n, with c constant and
 n nilpotent, is sum_{j <= N} C(k, j) c^(k-j) n^j for N = n_1 + ... + n_k, so
-it takes at most N products.  A power whose numerators or denominators could
-exceed ``MAX_POWER_BITS`` bits (about 4,200 digits, within Python's default
-4,300-digit limit for printing an int) is refused with a ValueError up front.
+it takes at most N products.  A product with a coefficient whose numerator
+or denominator passes 2^``MAX_POWER_BITS`` (about 4,200 digits, within
+Python's 4,300-digit limit for printing an int) is refused with a
+ValueError, and so is a power whose constant coefficient c^k must pass it.
 
 :func:`pencil_family` packages the total space of a general pencil of
 curves on P^2 or P^1 x P^1 as such a lattice, with the fiber class, the
@@ -36,14 +37,14 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Sequence
 
+from .exactq import _over_lcm
+
 MAX_POWER_BITS = 14_000
+_CAP = 1 << MAX_POWER_BITS
 
 
-def _over_lcm(values: Sequence[Q]) -> tuple[list[int], int]:
-    """Integer numerators of ``values`` over the lcm of their denominators,
-    and that lcm."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _refused(what: str) -> ValueError:
+    return ValueError(f"{what} refused: a coefficient exceeds the {MAX_POWER_BITS:,}-bit cap")
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,10 @@ class ChowElement:
             nums = [(e, n // g) for e, n in nums]
         terms = {tuple([(e >> shift) & mask for shift, mask in fields]):
                  Q(n) if den == 1 else Q(n, den) for e, n in nums}
+        # the common numerators and denominator bound those in lowest terms
+        if (den > _CAP or any(abs(n) > _CAP for _, n in nums)) and any(
+                abs(q.numerator) > _CAP or q.denominator > _CAP for q in terms.values()):
+            raise _refused("product")
         out = ChowElement.__new__(ChowElement)  # terms are normal already
         out.ring, out.terms, out._scaled = ring, terms, (nums, den)
         return out
@@ -171,10 +176,10 @@ class ChowElement:
         c = self.terms.get(const, Q(0))
         n = ChowElement(ring, {e: v for e, v in self.terms.items() if e != const}) if c else self
         top = min(k, sum(ring.dims)) if n.terms else 0
-        # without a constant term, a power past ``top`` is 0: nothing to bound
-        if (c or k == top) and _power_bits(c, n, k, top) > MAX_POWER_BITS:
-            raise ValueError(f"power ^{k} refused: its coefficients could exceed "
-                             f"{MAX_POWER_BITS} bits")
+        # c^k is computed before any product could refuse it; with c = p/q,
+        # max(|p|, q)^k is at least 2^(k * (its bit length - 1))
+        if k * (max(abs(c.numerator), c.denominator).bit_length() - 1) > MAX_POWER_BITS:
+            raise _refused(f"power ^{k}")
         out = ring.one()
         if not c:
             for _ in range(k):
@@ -202,26 +207,6 @@ class ChowElement:
                             for j, k in enumerate(e) if k)
             parts.append(f"({self.terms[e]})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
-
-
-def _lg(x: int) -> int:
-    """ceil(log2 x) for x >= 1."""
-    return (x - 1).bit_length()
-
-
-def _power_bits(c: Q, n: ChowElement, k: int, top: int) -> int:
-    """A bound B with every numerator and denominator of (c + n)^k at most
-    2^B in absolute value, for a constant c = p/q and an element n without
-    constant term, n^(top+1) = 0 unless top = k.
-
-    With n = M/d, M integral with coefficients summing to s in absolute
-    value, each coefficient of sum_{j <= top} C(k, j) c^(k-j) n^j is an
-    integer at most sum_j k^j |p|^(k-j) (q s)^j d^(top-j) over q^k d^top.
-    """
-    pairs, d = n._scaled
-    qsd = c.denominator * sum(abs(v) for _, v in pairs) * d
-    return (k * _lg(max(abs(c.numerator), c.denominator))
-            + top * (_lg(k) + _lg(qsd)) + _lg(top + 1))
 
 
 def chow_integrate(a: ChowElement) -> Q:

@@ -5,9 +5,9 @@ literals, integer powers (``^``) and parentheses.  Multiplication may be
 written ``*`` or by juxtaposition, so ``2b`` and ``(a+3b)`` work as
 expected.  Generators are named ``a``, ``b``, ``c``, ... in factor order.
 Parentheses and unary minus signs nest at most ``MAX_NESTING`` levels deep.
-An integer literal or a product with a coefficient past 2^MAX_POWER_BITS
-is refused, as :mod:`hodgediv.chow` refuses a power that could pass it;
-the coefficients are integers, so a sum adds at most one bit per term.
+An integer literal past 2^MAX_POWER_BITS, a coefficient or an exponent, is
+refused, as :mod:`hodgediv.chow` refuses a product or a power whose
+coefficient passes it; a sum adds at most one bit per term.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import re
 import string
 from math import log10
 
-from .chow import MAX_POWER_BITS, ChowElement, MultiProjRing
+from .chow import _CAP, MAX_POWER_BITS, ChowElement, MultiProjRing
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*^()]))")
 
@@ -25,7 +25,6 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*^()]))")
 # Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
-_CAP = 1 << MAX_POWER_BITS  # 2^MAX_POWER_BITS
 _CAP_DIGITS = int(MAX_POWER_BITS * log10(2)) + 1  # decimal digits of _CAP
 
 
@@ -33,9 +32,13 @@ class ExpressionError(ValueError):
     pass
 
 
-def _refused(what: str) -> ExpressionError:
-    return ExpressionError(f"{what} refused: a coefficient exceeds the "
-                           f"{MAX_POWER_BITS:,}-bit cap")
+def _literal(text: str) -> int:
+    """An integer literal's value, refused past the cap; more digits than
+    _CAP has are refused before int(), which stops at 4,300 digits."""
+    digits = text.lstrip("0")
+    if len(digits) > _CAP_DIGITS or (n := int("0" + digits)) > _CAP:
+        raise ExpressionError(f"integer literal refused: it exceeds the {MAX_POWER_BITS:,}-bit cap")
+    return n
 
 
 def default_generator_names(k: int) -> list[str]:
@@ -115,8 +118,6 @@ class _Parser:
                 return value
             # "*" or juxtaposition, e.g. "2b" or "(a+b)(a+3b)"
             value = value * self.power()
-            if any(abs(q.numerator) > _CAP for q in value.terms.values()):
-                raise _refused("product")
 
     def power(self) -> ChowElement:
         base = self.atom()
@@ -125,18 +126,13 @@ class _Parser:
             kind, text = self.take()
             if kind != "int":
                 raise ExpressionError("exponent must be an integer literal")
-            return base ** int(text)
+            return base ** _literal(text)
         return base
 
     def atom(self) -> ChowElement:
         kind, text = self.take()
         if kind == "int":
-            digits = text.lstrip("0") or "0"
-            # more digits than 2^MAX_POWER_BITS has: past the cap, and maybe
-            # too long for int()
-            if len(digits) > _CAP_DIGITS or (n := int(digits)) > _CAP:
-                raise _refused("integer literal")
-            return n * self.ring.one()
+            return _literal(text) * self.ring.one()
         if kind == "name":
             if text not in self.env:
                 raise ExpressionError(f"unknown generator {text!r}")

@@ -199,18 +199,17 @@ def cmd_teich():
 @click.option("--json", "as_json", is_flag=True)
 def cmd_teich_pair(kind, genus, chi, lyapunov, carea, as_json):
     """Print the intersection vector and the double-zero stratum pairing."""
-    chi_q = _parse(chi, "--chi")
+    name, value = ("lyapunov", lyapunov) if kind == "abelian" else ("carea", carea)
+    if value is None:
+        raise ValueError(f"--{name} is required for kind={kind}")
+    values = _rationals(chi=chi, **{name: value})
     part = extremality.double_zero_partition(kind, genus)
     if kind == "abelian":
-        if lyapunov is None:
-            raise ValueError("--lyapunov is required for kind=abelian")
-        params = extremality.TeichParamsAbelian(chi_q, _parse(lyapunov, "--lyapunov"), genus)
+        params = extremality.TeichParamsAbelian(values["chi"], values["lyapunov"], genus)
         rec = extremality.teich_vector_abelian(genus, part, params)
         stratum = picard.class_stratum_abelian(genus)
     else:
-        if carea is None:
-            raise ValueError("--carea is required for kind=quadratic")
-        params = extremality.TeichParamsQuadratic(chi_q, _parse(carea, "--carea"))
+        params = extremality.TeichParamsQuadratic(values["chi"], values["carea"])
         rec = extremality.teich_vector_quadratic(genus, part, params)
         stratum = picard.class_stratum_quadratic(genus)
     pairing = format_rational(picard.pair(rec, stratum))
@@ -218,8 +217,7 @@ def cmd_teich_pair(kind, genus, chi, lyapunov, carea, as_json):
     if rec.total_delta is not None:
         vector["total_delta"] = format_rational(rec.total_delta)
     payload = {
-        "inputs": {"kind": kind, "genus": genus, "chi": format_rational(chi_q),
-                   **({"lyapunov": lyapunov} if kind == "abelian" else {"carea": carea})},
+        "inputs": _inputs(kind, genus, values),
         "vector": vector,
         "pairing": pairing,
         "verdict": "ok",
@@ -229,12 +227,16 @@ def cmd_teich_pair(kind, genus, chi, lyapunov, carea, as_json):
     _emit(payload, text, as_json)
 
 
-def _rationals(a: str, b: str, c0: str, c: str, cmax: str) -> list[Q]:
-    """-a, -b, --c0, --c and --cmax as rationals, each parsed whether or not
-    ``--kind`` reads it, so a malformed value is an error in every command
-    and kind."""
-    return [_parse(v, label) for v, label in
-            ((a, "-a"), (b, "-b"), (c0, "--c0"), (c, "--c"), (cmax, "--cmax"))]
+def _rationals(**options: str) -> dict[str, Q]:
+    """Option values by name (``a`` for ``-a``, ``chi`` for ``--chi``) as
+    rationals; threshold and certify pass all five, whichever ``--kind`` reads."""
+    return {name: _parse(value, f"-{name}" if len(name) == 1 else f"--{name}")
+            for name, value in options.items()}
+
+
+def _inputs(kind: str, genus: int, values: dict[str, Q]) -> dict:
+    """A report's ``inputs``, rationals in lowest terms: equal values, equal reports."""
+    return {"kind": kind, "genus": genus, **{k: format_rational(v) for k, v in values.items()}}
 
 
 def _threshold(kind, genus, a: Q, b: Q, c0: Q, c: Q, cmax: Q) -> Q:
@@ -255,10 +257,9 @@ def _threshold(kind, genus, a: Q, b: Q, c0: Q, c: Q, cmax: Q) -> Q:
 @click.option("--json", "as_json", is_flag=True)
 def cmd_threshold(kind, genus, a, b, c0, c, cmax, as_json):
     """Negativity threshold d for an ample class a*lambda + b*eta + ..."""
-    d = format_rational(_threshold(kind, genus, *_rationals(a, b, c0, c, cmax)))
-    _emit({"command": "threshold",
-           "inputs": {"kind": kind, "genus": genus, "a": a, "b": b,
-                      "c0": c0, "c": c, "cmax": cmax},
+    values = _rationals(a=a, b=b, c0=c0, c=c, cmax=cmax)
+    d = format_rational(_threshold(kind, genus, **values))
+    _emit({"command": "threshold", "inputs": _inputs(kind, genus, values),
            "d": d, "verdict": "ok"}, d, as_json)
 
 
@@ -275,20 +276,20 @@ def cmd_threshold(kind, genus, a, b, c0, c, cmax, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_certify(kind, genus, a, b, c0, c, cmax, d_value, as_json):
     """Run the negativity certificate on a parameter grid of curves."""
-    aq, bq, c0q, cq, cmax_q = values = _rationals(a, b, c0, c, cmax)
+    values = _rationals(a=a, b=b, c0=c0, c=c, cmax=cmax)
+    aq, bq, c0q, cq, cmax_q = values.values()
     if kind == "abelian":
         stratum = picard.class_stratum_abelian(genus)
         boundary = {"delta_0": c0q}
     else:
         stratum = picard.class_stratum_quadratic(genus)
         boundary = {f"delta_{i}": cq for i in range(genus // 2 + 1)}
-    d = _parse(d_value, "-d") if d_value else _threshold(kind, genus, *values)
+    d = _parse(d_value, "-d") if d_value else _threshold(kind, genus, **values)
     ample = picard.DivisorClass.from_map(stratum.basis, {"lambda": aq, "eta": bq, **boundary})
     result = extremality.certificate_check(
         stratum, ample, d, extremality.sample_grid(kind, genus, cmax_q))
     _emit({"command": "certify",
-           "inputs": {"kind": kind, "genus": genus, "a": a, "b": b, "c0": c0,
-                      "c": c, "cmax": cmax, "d": format_rational(d)},
+           "inputs": _inputs(kind, genus, {**values, "d": d}),
            "violations": [{"curve": name, "value": format_rational(v)}
                           for name, v in result.violations],
            "verdict": "PASS" if result.passed else "FAIL"},

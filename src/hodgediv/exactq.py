@@ -60,6 +60,14 @@ def parse_rational(s: str) -> Q:
 ZERO = Q(0)
 
 
+def _over_lcm(values: Sequence[Q]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over the lcm of their denominators,
+    and that lcm."""
+    pairs = [v.as_integer_ratio() for v in values]
+    den = lcm(*[d for _, d in pairs])
+    return [p * (den // d) for p, d in pairs], den
+
+
 def _nonzero(size: int, dense: Sequence | None = None,
              nonzero: Mapping[int, object] | None = None) -> dict[int, Q]:
     """The stored form of a vector of length ``size``, given dense or as a
@@ -141,11 +149,10 @@ def solve_exact(a: QMatrix, b: Sequence[Q]) -> tuple[Q, ...]:
     ncols = a.cols
     m = []
     for row, v in zip(a.nonzero_rows, b):
-        v = v if isinstance(v, Q) else Q(v)
-        den = lcm(v.denominator, *[e.denominator for e in row.values()])
-        ints = [0] * ncols + [v.numerator * (den // v.denominator)]
-        for j, e in row.items():
-            ints[j] = e.numerator * (den // e.denominator)
+        nums, _ = _over_lcm([*row.values(), v if isinstance(v, Q) else Q(v)])
+        ints = [0] * ncols + nums[-1:]
+        for j, e in zip(row, nums):
+            ints[j] = e
         m.append(ints)
     rank = 0
     for piv_c in range(ncols):

@@ -13,7 +13,8 @@ known intersection numbers:
   from the standard Weierstrass divisor class.
 
 :func:`derive_theorem_class` runs the whole pipeline for any genus and must
-reproduce :func:`hodgediv.picard.class_D` exactly.
+reproduce :func:`hodgediv.picard.class_D` exactly.  Every family here gets
+its basis from :func:`hodgediv.picard.basis`, which checks g >= 2.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ from .picard import (
 )
 
 
-def _check_genus(g: int):
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
-
-
 def curve_A(g: int) -> CurveRecord:
     """A line in a fiber over a fixed general smooth curve.
 
@@ -48,7 +44,6 @@ def curve_A(g: int) -> CurveRecord:
     through all (g-1)g(g+1) Weierstrass points, which is its known pairing
     with the Weierstrass-zero divisor D.
     """
-    _check_genus(g)
     b = basis(PHODGE_ABELIAN, g)
     return CurveRecord.from_map(
         "A", b, {"eta": Q(-1)},
@@ -61,7 +56,6 @@ def curve_B(g: int) -> CurveRecord:
     lambda-degree 1, 12 nodal fibers, self-intersection -1 on delta_1, and
     eta-degree 0; pairs with D in g^2 - 1 points.
     """
-    _check_genus(g)
     b = basis(PHODGE_ABELIAN, g)
     return CurveRecord.from_map(
         "B", b, {"lambda": Q(1), "delta_0": Q(12), "delta_1": Q(-1)},
@@ -75,10 +69,9 @@ def curve_C(g: int, i: int) -> CurveRecord:
     the diagonal, 2-2(g-i); all other basis degrees vanish.  Its D-pairing
     is the decomposition :func:`rhs_C_dot_D`.
     """
-    _check_genus(g)
+    b = basis(PHODGE_ABELIAN, g)
     if not 1 <= i <= g // 2:
         raise ValueError(f"boundary index i={i} out of range for genus {g}")
-    b = basis(PHODGE_ABELIAN, g)
     return CurveRecord.from_map(
         f"C_{i}", b, {f"delta_{i}": Q(2 - 2 * (g - i))},
         known_pairings={"D": rhs_C_dot_D(g, i)})
@@ -117,16 +110,14 @@ def rhs_C_dot_D(g: int, i: int) -> Q:
     (2i-2) B1.W + (2g-2i-2) B2.W + 2 B3.W.
 
     B1.W and B2.W are computed as dot products against the Weierstrass
-    class; B3.W comes from its recorded pairing.
+    class; B3.W comes from its recorded pairing.  :func:`curves_B1_B2_B3`
+    checks g and i.
 
     Memoized: the value is a pure function of ``(g, i)`` and an immutable
     Fraction, and both :func:`derive_theorem_class` and the catalog's
     C-curve records need it, so one evaluation per ``(g, i)`` builds the
     three families and pairs them once.
     """
-    _check_genus(g)
-    if not 1 <= i <= g // 2:
-        raise ValueError(f"boundary index i={i} out of range for genus {g}")
     b1, b2, b3 = curves_B1_B2_B3(g, i)
     w = class_W(g)
     return (Q(2 * i - 2) * pair(b1, w)
@@ -142,7 +133,8 @@ def compute_a_prime(g: int) -> Q:
     that stratum lets us eliminate lambda via lambda = (g-1)/4 eta, leaving
     a pure eta multiple whose coefficient is returned.
     """
-    _check_genus(g)
+    if g < 2:
+        raise ValueError(f"genus must be >= 2, got {g}")
     eta_coeff = Q((g - 1) * g * (g + 1), 2)
     lambda_coeff = Q(-(2 * g - 2))
     # lambda = (g-1)/4 eta on the simple-zero stratum
@@ -162,7 +154,6 @@ def derive_theorem_class(g: int) -> DivisorClass:
     vectors of curves C_1, ..., C_{g//2}.  In that order each column's pivot
     is the first remaining row.  Rows are passed as their nonzero entries.
     """
-    _check_genus(g)
     b_spec = basis(PHODGE_ABELIAN, g)
     curves = [curve_A(g), curve_B(g)]
     rows = [rec.nonzero for rec in curves]
@@ -191,7 +182,6 @@ def moving_curve_catalog(g: int) -> list[CurveRecord]:
     genus 2 the pencil of plane cubics attached to an elliptic curve serves
     as the moving curve in delta_1.
     """
-    _check_genus(g)
     b = basis(MBAR_G, g)
     records = [CurveRecord.from_map(
         "X_irr", b, {"delta_0": Q(2 - 2 * g), "delta_1": Q(1)})]

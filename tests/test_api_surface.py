@@ -75,3 +75,25 @@ def test_allowed_exceptions_still_exist():
     defined = {qualname for path in PACKAGE
                for qualname, _ in _public_definitions(ast.parse(path.read_text()))}
     assert set(ALLOWED) <= defined
+
+
+def _private_definitions(tree: ast.Module):
+    """(qualified name, node) of each private top-level function and each
+    private method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+                        and not item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    trees = {path: ast.parse(path.read_text()) for path in PACKAGE}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = [f"{path.name}: {qualname}" for path in PACKAGE
+              for qualname, node in _private_definitions(trees[path])
+              if used[node.name] - _names(node)[node.name] <= 0]
+    assert unused == []

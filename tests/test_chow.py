@@ -358,3 +358,29 @@ def test_lattice_class_normal_form():
     assert lat.cls((2, 0), -2).scale(Q(1, 4)) == half
     assert (half - half) == lat.cls((0, 0)) and (half - half).den == 1
     assert half.coeffs[:3] == (Q(1, 2), Q(0), Q(-1, 2))
+
+
+def test_library_product_past_the_cap_is_refused():
+    """Every product checks its coefficients, whether or not a parser made it:
+    2^8000 squared passes 2^MAX_POWER_BITS, 2^7000 squared reaches it."""
+    ring = MultiProjRing((1,))
+    (a,) = ring.generators()
+    x = 2**8000 * ring.one()
+    with pytest.raises(ValueError, match="product refused: .* 14,000-bit cap"):
+        x * x * a
+    with pytest.raises(ValueError, match="product refused"):
+        Q(1, 2**8000) * a * Q(1, 2**8000)
+    y = 2**7000 * ring.one()
+    assert chow_integrate(y * y * a) == 2**MAX_POWER_BITS
+    assert chow_integrate(Q(-1, 2**7000) * a * Q(1, 2**7000)) == Q(-1, 2**MAX_POWER_BITS)
+
+
+def test_power_is_refused_only_by_its_constant_coefficient():
+    """c^k is refused up front only when it must pass the cap; 3^7001 has
+    11,097 bits, and (1+a)^k stays small for any k."""
+    ring = MultiProjRing((1,))
+    (a,) = ring.generators()
+    assert chow_integrate((3 * ring.one()) ** 7001 * a) == 3**7001
+    assert chow_integrate((1 + a) ** 2**MAX_POWER_BITS) == 2**MAX_POWER_BITS
+    with pytest.raises(ValueError, match=r"power \^7001 refused"):
+        (Q(1, 4) + a) ** 7001

@@ -358,3 +358,78 @@ def test_catalog_bytes_match_the_golden_record(runner, tmp_path, monkeypatch):
         assert (result.exit_code, result.stdout) == (entry["exit"], entry["stdout"]), entry["args"]
         if "catalog_sha256" in entry:
             assert hashlib.sha256(catalog.read_bytes()).hexdigest() == entry["catalog_sha256"]
+
+
+def test_chow_eval_power_within_the_cap_is_answered(runner):
+    # 3^7001 has 11,097 bits: only a bound on the power's coefficients refused it
+    result = runner.invoke(main, ["chow", "eval", "3^7001a", "--dims", "1"])
+    assert (result.exit_code, result.output) == (0, f"{3 ** 7001}\n")
+
+
+@pytest.mark.parametrize("exponent", ["9" * 5000, str(2 ** 14000 + 1)],
+                         ids=["5000-digits", "cap-plus-one"])
+def test_chow_eval_exponent_literal_past_the_cap_exits_2(runner, exponent):
+    assert "14,000-bit cap" in _one_error_line(
+        runner.invoke(main, ["chow", "eval", f"a^{exponent}", "--dims", "1"]))
+
+
+@pytest.mark.parametrize("command, given, reduced", [
+    (["teich", "pair", "--kind", "abelian", "--genus", "3"],
+     ["--chi", "4/2", "--lyapunov", "2/2"], ["--chi", "2", "--lyapunov", "1"]),
+    (["teich", "pair", "--kind", "quadratic", "--genus", "4"],
+     ["--chi", "4/2", "--carea", "-0"], ["--chi", "2", "--carea", "0"]),
+    (["threshold", "--kind", "abelian", "--genus", "3"],
+     ["-a", "2/2", "-b", "4/2", "--c0", "-0", "--c", "6/4", "--cmax", "2/2"],
+     ["-a", "1", "-b", "2", "--c0", "0", "--c", "3/2", "--cmax", "1"]),
+    (["threshold", "--kind", "quadratic", "--genus", "5"],
+     ["-a", "4/2", "-b", "2/2", "--c", "-0"], ["-a", "2", "-b", "1", "--c", "0"]),
+    (["certify", "--kind", "abelian", "--genus", "3"],
+     ["-a", "2/2", "-b", "4/2", "--c0", "-0", "-d", "2/2"],
+     ["-a", "1", "-b", "2", "--c0", "0", "-d", "1"]),
+    (["certify", "--kind", "quadratic", "--genus", "4"],
+     ["-a", "2/2", "-b", "4/2", "--c", "-0", "--cmax", "4/2"],
+     ["-a", "1", "-b", "2", "--c", "0", "--cmax", "2"]),
+], ids=["teich-abelian", "teich-quadratic", "threshold-abelian", "threshold-quadratic",
+        "certify-abelian", "certify-quadratic"])
+def test_equal_rational_inputs_give_identical_reports(runner, command, given, reduced):
+    """Each rational input is echoed in lowest terms."""
+    for as_json in ([], ["--json"]):
+        first = runner.invoke(main, command + given + as_json)
+        second = runner.invoke(main, command + reduced + as_json)
+        assert first.exit_code == second.exit_code != 2, first.output
+        assert first.stdout == second.stdout
+
+
+_GENERA = st.one_of(st.sampled_from(["0", "1", "-3", "x", "", "2.5"]), st.integers(2, 60).map(str))
+
+
+@st.composite
+def pipeline_commands(draw):
+    """``derive``, ``verify`` or ``catalog list``/``write`` with drawn
+    genera and examples; a catalog goes to a file or a directory."""
+    command = draw(st.sampled_from(["derive", "verify", "list", "write"]))
+    if command == "verify":
+        example = draw(st.sampled_from(["quartic-pencil", "genus4-quadric", "genus2-relation",
+                                        "nope", "", "GENUS2-RELATION"]))
+        args = ["verify", "--example", example]
+    elif command == "write":
+        args = ["catalog", "write"]
+        for genus in draw(st.lists(_GENERA, min_size=1, max_size=3)):
+            args += ["--genus", genus]
+    else:
+        args = (["derive"] if command == "derive" else ["catalog", "list"])
+        args += ["--genus", draw(_GENERA)]
+    return args + (["--json"] if command != "write" and draw(st.booleans()) else [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pipeline_commands(), st.booleans())
+def test_pipeline_commands_fuzz_keep_the_exit_code_contract(tmp_path_factory, args, to_directory):
+    target = tmp_path_factory.mktemp("catalog")
+    env = {"HODGEDIV_CATALOG": str(target if to_directory else target / "catalog.json")}
+    result = CliRunner().invoke(main, args, env=env)
+    assert result.exit_code in (0, 2), (result.output, result.exception)
+    assert "Traceback" not in result.output + result.stderr
+    if result.exit_code == 2:
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1, result.stderr

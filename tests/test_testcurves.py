@@ -199,3 +199,19 @@ def test_each_C_pairing_is_computed_once_per_index(tmp_path, monkeypatch):
         catalog.build_catalog(g)
         catalog.write_catalog([g], tmp_path / "cat.json")
         assert calls == 2 * sum(h // 2 for h in range(3, g + 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: curve_C(1, 1), "genus must be >= 2, got 1"),
+    (lambda: curve_C(5, 3), "boundary index i=3 out of range for genus 5"),
+    (lambda: rhs_C_dot_D(1, 1), "needs genus >= 3"),
+    (lambda: rhs_C_dot_D(2, 1), "needs genus >= 3"),
+    (lambda: rhs_C_dot_D(5, 0), "boundary index i=0 out of range for genus 5"),
+    (lambda: compute_a_prime(1), "genus must be >= 2, got 1"),
+], ids=["curve_C-genus", "curve_C-index", "rhs-genus-1", "rhs-genus-2", "rhs-index",
+        "a_prime-genus"])
+def test_genus_and_index_are_checked_by_their_owners(call, message):
+    """``basis`` checks g >= 2 and ``curves_B1_B2_B3`` checks g >= 3 and the
+    boundary index; the builders that call them add no check of their own."""
+    with pytest.raises(ValueError, match=message):
+        call()
