@@ -39,17 +39,38 @@ def catalog_path() -> Path:
     return Path(os.environ.get(ENV_VAR, DEFAULT_FILENAME))
 
 
-def _render(b: BasisSpec, nonzero: dict[int, Q]) -> dict[str, str]:
-    """symbol -> "p/q" over the whole basis, in basis order; zeros read "0"."""
+def _render(b: BasisSpec, nums: dict[int, int], den: int) -> dict[str, str]:
+    """symbol -> "p/q" over the whole basis, in basis order, from a record's
+    integer form (numerators over ``den``); zeros read "0".  An integral
+    record, as every test curve is, is written without a Fraction."""
     out = dict.fromkeys(b.symbols, "0")
-    for i, v in nonzero.items():
-        out[b.symbols[i]] = format_rational(v)
+    for i, n in nums.items():
+        out[b.symbols[i]] = str(n) if den == 1 else format_rational(Q(n, den))
     return out
 
 
-def _parse(b: BasisSpec, data: dict[str, str]) -> dict[int, Q]:
-    """Inverse of :func:`_render` (position -> value); a missing symbol is a KeyError."""
-    return {i: parse_rational(v) for i, s in enumerate(b.symbols) if (v := data[s]) != "0"}
+def _field(data: dict, key: str, *kinds: type):
+    """``data[key]``: a KeyError when it is missing, a ValueError naming the
+    key when it is of none of the types ``kinds``."""
+    value = data[key]
+    if type(value) not in kinds:
+        raise ValueError(f"{key!r} must be {' or '.join(k.__name__ for k in kinds)}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _parse(b: BasisSpec, data: dict) -> dict[int, Q]:
+    """Inverse of :func:`_render` (position -> value).  The map must give
+    every basis symbol a string (a missing one is a KeyError) and name no
+    other symbol (a ValueError)."""
+    entries = {i: v for i, s in enumerate(b.symbols) if (v := data[s]) != "0"}
+    if len(data) != len(b.symbols):
+        unknown = next(s for s in data if s not in b.symbols)
+        raise ValueError(f"symbol {unknown!r} not in basis {b.space_kind}({b.genus})")
+    for i, v in entries.items():
+        if type(v) is not str:
+            raise ValueError(f"{b.symbols[i]!r} must be str, got {type(v).__name__}")
+    return {i: parse_rational(v) for i, v in entries.items()}
 
 
 def _class_record(name: str, c: DivisorClass, note: str) -> dict:
@@ -58,23 +79,24 @@ def _class_record(name: str, c: DivisorClass, note: str) -> dict:
         "name": name,
         "space": c.basis.space_kind,
         "genus": c.basis.genus,
-        "coefficients": _render(c.basis, c.nonzero),
+        "coefficients": _render(c.basis, *c._form[:2]),
         "note": note,
     }
 
 
 def _curve_record(c: CurveRecord, note: str) -> dict:
+    nums, den, td = c._form
     rec = {
         "record": "curve",
         "name": c.name,
         "space": c.basis.space_kind,
         "genus": c.basis.genus,
-        "vector": _render(c.basis, c.nonzero) if c.nonzero is not None else None,
+        "vector": _render(c.basis, nums, den) if nums is not None else None,
         "known_pairings": {k: format_rational(v) for k, v in sorted(c.known_pairings.items())},
         "note": note,
     }
-    if c.total_delta is not None:
-        rec["total_delta"] = format_rational(c.total_delta)
+    if td is not None:
+        rec["total_delta"] = format_rational(Q(td, den))
     return rec
 
 
@@ -160,19 +182,38 @@ def write_catalog(genera: list[int], path: Path | None = None) -> Path:
 
 
 def read_catalog(path: Path | None = None) -> list[dict]:
+    """The records of a catalog file.  A file that is not a JSON list of
+    named class and curve records is a ValueError; :func:`record_to_class`
+    and :func:`record_to_curve` check the rest of each record."""
     path = path or catalog_path()
-    return json.loads(path.read_text())
+    records = json.loads(path.read_text())
+    if type(records) is not list:
+        raise ValueError("the catalog is not a JSON list of records")
+    for k, rec in enumerate(records):
+        if (type(rec) is not dict or rec.get("record") not in ("class", "curve")
+                or type(rec.get("name")) is not str):
+            raise ValueError(f"catalog entry {k} is not a named class or curve record")
+    return records
+
+
+def _basis(rec: dict) -> BasisSpec:
+    return basis(_field(rec, "space", str), _field(rec, "genus", int))
 
 
 def record_to_class(rec: dict) -> DivisorClass:
-    b = basis(rec["space"], rec["genus"])
-    return DivisorClass(b, nonzero=_parse(b, rec["coefficients"]))
+    """The class of a catalog record; a missing key is a KeyError, a value
+    of another shape a ValueError."""
+    b = _basis(rec)
+    return DivisorClass(b, nonzero=_parse(b, _field(rec, "coefficients", dict)))
 
 
 def record_to_curve(rec: dict) -> CurveRecord:
-    b = basis(rec["space"], rec["genus"])
-    total = parse_rational(rec["total_delta"]) if "total_delta" in rec else None
+    """The curve of a catalog record; a missing key is a KeyError, a value
+    of another shape a ValueError."""
+    b = _basis(rec)
+    vector = _field(rec, "vector", dict, type(None))
+    pairings = _field(rec, "known_pairings", dict)
+    total = parse_rational(_field(rec, "total_delta", str)) if "total_delta" in rec else None
     return CurveRecord(rec["name"], b, None,
-                       {k: parse_rational(v) for k, v in rec["known_pairings"].items()},
-                       total,
-                       nonzero=_parse(b, rec["vector"]) if rec["vector"] is not None else None)
+                       {k: parse_rational(_field(pairings, k, str)) for k in pairings},
+                       total, nonzero=_parse(b, vector) if vector is not None else None)

@@ -3,7 +3,7 @@
 Every command prints either a human-readable table or, with ``--json``, a
 deterministic JSON report.  Exit codes: 0 when every checked quantity
 matches, 1 on any mismatch, 2 on usage or input errors and on a catalog
-file that cannot be written.  All rationals are
+file that cannot be written, read or parsed.  All rationals are
 rendered exactly as ``p/q``; nothing is ever printed in decimal.
 """
 
@@ -157,6 +157,41 @@ def cmd_catalog_write(genera):
     click.echo(f"wrote {path}")
 
 
+@cmd_catalog.command("check")
+@click.option("--json", "as_json", is_flag=True)
+def cmd_catalog_check(as_json: bool):
+    """Re-pair every curve of the catalog file with the classes named in its
+    known pairings and compare with the recorded values."""
+    path = catalog_mod.catalog_path()
+    classes, curves = {}, []
+    try:
+        for r in catalog_mod.read_catalog(path):
+            if r["record"] == "class":
+                c = catalog_mod.record_to_class(r)
+                classes[c.basis.space_kind, c.basis.genus, r["name"]] = c
+            else:
+                curves.append(catalog_mod.record_to_curve(r))
+    except OSError as exc:
+        raise ValueError(f"cannot read catalog {path}: {exc.strerror}") from exc
+    except KeyError as exc:
+        raise ValueError(f"malformed catalog {path}: missing key {exc}") from exc
+    # what json, the record checks and Fraction raise; json nests by recursion
+    except (ValueError, ZeroDivisionError, RecursionError) as exc:
+        raise ValueError(f"malformed catalog {path}: {type(exc).__name__}: {exc}") from exc
+    report = Report("catalog check", {"path": str(path)})
+    for curve in (c for c in curves if c.nonzero is not None):
+        b = curve.basis
+        for name, value in sorted(curve.known_pairings.items()):
+            cls = classes.get((b.space_kind, b.genus, name))
+            if cls is None:
+                raise ValueError(f"malformed catalog {path}: curve {curve.name} of "
+                                 f"{b.space_kind}({b.genus}) names no class record {name!r}")
+            report.add(f"{curve.name}.{name} ({b.space_kind}, g={b.genus})", value,
+                       picard.pair(curve, cls))
+    report.extra["skipped_without_vector"] = sum(c.nonzero is None for c in curves)
+    _emit(report.payload(), report.to_table(), as_json, report.verdict == "match")
+
+
 def _parse(value: str, label: str, parse=parse_rational, expected="a rational p/q"):
     """Parse the value of option ``label``; a malformed one is a ValueError naming it."""
     try:
@@ -199,10 +234,12 @@ def cmd_teich():
 @click.option("--json", "as_json", is_flag=True)
 def cmd_teich_pair(kind, genus, chi, lyapunov, carea, as_json):
     """Print the intersection vector and the double-zero stratum pairing."""
-    name, value = ("lyapunov", lyapunov) if kind == "abelian" else ("carea", carea)
-    if value is None:
+    given = {k: v for k, v in (("lyapunov", lyapunov), ("carea", carea)) if v is not None}
+    name = "lyapunov" if kind == "abelian" else "carea"
+    if name not in given:
         raise ValueError(f"--{name} is required for kind={kind}")
-    values = _rationals(chi=chi, **{name: value})
+    # every given value is parsed; the report echoes the one the kind reads
+    values = {k: v for k, v in _rationals(chi=chi, **given).items() if k in ("chi", name)}
     part = extremality.double_zero_partition(kind, genus)
     if kind == "abelian":
         params = extremality.TeichParamsAbelian(values["chi"], values["lyapunov"], genus)
@@ -229,7 +266,7 @@ def cmd_teich_pair(kind, genus, chi, lyapunov, carea, as_json):
 
 def _rationals(**options: str) -> dict[str, Q]:
     """Option values by name (``a`` for ``-a``, ``chi`` for ``--chi``) as
-    rationals; threshold and certify pass all five, whichever ``--kind`` reads."""
+    rationals; each command passes every value given, whichever ``--kind`` reads."""
     return {name: _parse(value, f"-{name}" if len(name) == 1 else f"--{name}")
             for name, value in options.items()}
 

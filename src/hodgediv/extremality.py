@@ -8,9 +8,9 @@ area Siegel-Veech constant c_area >= 0.  The intersection numbers with
 eta, lambda and the boundary are explicit rational expressions in these
 parameters, and the pairing with the double-zero stratum class collapses
 to -chi/3 (abelian) resp. -chi/2 (quadratic) independently of L / c_area.
-Each entry is built as one Fraction from the integer numerators and
-denominators of the parameters and of kappa_mu, so it takes the value of
-its Fraction formula at the cost of one reduction.
+Each record is written as integer numerators over one denominator, from
+those of the parameters and of kappa_mu, which ``CurveRecord._of_ints``
+divides by their gcd: the values of the Fraction formulas at one gcd.
 
 The certificate machinery implements the negativity condition
 ``C . (D + d A) <= 0``: a threshold d is computed as the infimum of the
@@ -29,8 +29,8 @@ from .picard import (
     DivisorClass,
     PHODGE_ABELIAN,
     PHODGE_QUADRATIC,
+    _pair_ints,
     basis,
-    pair,
 )
 
 
@@ -119,19 +119,16 @@ def kappa_mu(p: Partition) -> Q:
 def teich_vector_abelian(g: int, p: Partition, t: TeichParamsAbelian) -> CurveRecord:
     """Intersection vector of an abelian-stratum Teichmueller curve:
     eta = chi/2, lambda = chi L / 2, delta_0 = (chi/2)(12L - 12 kappa_mu),
-    higher boundary zero.  With chi = n/q, L = r/s and kappa_mu = u/v each
-    entry is one Fraction of integer numerator and denominator:
-    n/(2q), nr/(2qs) and 6n(rv - su)/(qsv)."""
+    higher boundary zero.  With chi = n/q, L = r/s and kappa_mu = u/v the
+    entries are nsv, nrv and 12n(rv - su) over 2qsv."""
     if p.kind != "abelian" or p.g != g:
         raise ValueError("partition is not an abelian partition for this genus")
     n, q = t.chi.as_integer_ratio()
     r, s = t.L.as_integer_ratio()
     u, v = kappa_mu(p).as_integer_ratio()
-    return CurveRecord.from_map(
-        f"Teich(chi={t.chi},L={t.L})", basis(PHODGE_ABELIAN, g),
-        {"eta": Q(n, 2 * q),
-         "lambda": Q(n * r, 2 * q * s),
-         "delta_0": Q(6 * n * (r * v - s * u), q * s * v)})
+    return CurveRecord._of_ints(f"Teich(chi={t.chi},L={t.L})", basis(PHODGE_ABELIAN, g),
+                                {0: n * s * v, 1: n * r * v, 2: 12 * n * (r * v - s * u)},
+                                2 * q * s * v)
 
 
 def psi_degree(t: TeichParamsAbelian, p: Partition, m_i: int) -> Q:
@@ -155,18 +152,16 @@ def teich_vector_quadratic(g: int, p: Partition, t: TeichParamsQuadratic) -> Cur
     eta = chi, lambda = (chi/2)(c_area + kappa), and the total boundary
     pairing 6 chi c_area recorded as a single number (the double-zero
     stratum class has uniform boundary coefficients).  With chi = n/q,
-    c_area = r/s and kappa_mu = u/v, lambda is one Fraction
-    n(rv + su)/(2qsv) and the total boundary 6nr/(qs)."""
+    c_area = r/s and kappa_mu = u/v: eta 2nsv, lambda n(rv + su) and the
+    total boundary 12nrv over 2qsv."""
     if p.kind != "quadratic" or p.g != g:
         raise ValueError("partition is not a quadratic partition for this genus")
     n, q = t.chi.as_integer_ratio()
     r, s = t.c_area.as_integer_ratio()
     u, v = kappa_mu(p).as_integer_ratio()
-    return CurveRecord.from_map(
-        f"TeichQ(chi={t.chi},c={t.c_area})", basis(PHODGE_QUADRATIC, g),
-        {"eta": t.chi,
-         "lambda": Q(n * (r * v + s * u), 2 * q * s * v)},
-        total_delta=Q(6 * n * r, q * s))
+    return CurveRecord._of_ints(f"TeichQ(chi={t.chi},c={t.c_area})", basis(PHODGE_QUADRATIC, g),
+                                {0: 2 * n * s * v, 1: n * (r * v + s * u)}, 2 * q * s * v,
+                                12 * n * r * v)
 
 
 def _interval_infimum(const: Q, slope: Q, lo: Q, hi: Q, numerator: Q) -> Q:
@@ -246,7 +241,8 @@ class CertificateReport:
 
 def certificate_check(divisor: DivisorClass, ample: DivisorClass, d: Q,
                       curves: list[CurveRecord]) -> CertificateReport:
-    """Check C . (divisor + d * ample) <= 0 for every supplied curve."""
+    """Check C . (divisor + d * ample) <= 0 for every supplied curve by the sign
+    of each pairing's integer numerator; only a violation becomes a Fraction."""
     d = Q(d)
     if d <= 0:
         raise ValueError("threshold d must be positive")
@@ -257,7 +253,7 @@ def certificate_check(divisor: DivisorClass, ample: DivisorClass, d: Q,
     shifted = divisor + d * ample
     violations = []
     for c in curves:
-        value = pair(c, shifted)
-        if value.numerator > 0:
-            violations.append((c.name, value))
+        num, den = _pair_ints(c, shifted)
+        if num > 0:
+            violations.append((c.name, Q(num, den)))
     return CertificateReport(not violations, d, tuple(violations))

@@ -14,9 +14,11 @@ Four families of spaces occur:
   delta_{g//2}]``.
 
 A :class:`DivisorClass` is a coefficient vector over one of these bases,
-and a :class:`CurveRecord` an intersection vector; both are stored by their
-nonzero entries (basis position -> Fraction), and the dense tuple is a view
-built on first use.  Classes over different bases never coerce silently.
+and a :class:`CurveRecord` an intersection vector; both are held by their
+nonzero entries in position order, as Fractions (``nonzero``) or as the
+integer form ``_form`` that :func:`pair` multiplies (numerators over their
+lcm denominator), each a view of the other built on first use, as is the
+dense tuple.  Classes over different bases never coerce silently.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from functools import cache, cached_property
 from math import gcd
 from typing import Mapping, Sequence
 
-from .exactq import ZERO, _nonzero
+from .exactq import ZERO, _nonzero, _over_lcm
 
 PHODGE_ABELIAN = "PHodgeAbelian"
 PHODGE_QUADRATIC = "PHodgeQuadratic"
 MBAR_G1 = "MbarG1"
 MBAR_G = "MbarG"
+MAX_GENUS = 10_000  # a basis holds about g symbols; 10^9 of them would fill memory
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,8 @@ def basis(space_kind: str, g: int) -> BasisSpec:
     """Ordered symbol list for the rational Picard group of the given space."""
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
+    if g > MAX_GENUS:
+        raise ValueError(f"genus must be <= {MAX_GENUS}, got {g}")
     if space_kind in (PHODGE_ABELIAN, PHODGE_QUADRATIC):
         syms = ("eta", "lambda") + tuple(f"delta_{i}" for i in range(g // 2 + 1))
     elif space_kind == MBAR_G1:
@@ -77,7 +82,7 @@ def _dense(b: BasisSpec, nonzero: dict[int, Q]) -> tuple[Q, ...]:
 class DivisorClass:
     """A divisor class over ``basis``, built from dense ``coeffs`` or from a
     position map, stored as ``nonzero`` (position -> nonzero Fraction, in
-    basis order); ``coeffs`` is the dense tuple, built on first use."""
+    basis order); ``coeffs`` (dense) and ``_form`` are built on first use."""
 
     basis: BasisSpec
     nonzero: dict[int, Q]
@@ -95,12 +100,14 @@ class DivisorClass:
         return _dense(self.basis, self.nonzero)
 
     @cached_property
-    def _uniform_boundary(self) -> Q | None:
-        """The coefficient every ``delta_*`` symbol shares (0 when the basis
-        has none), or None when the boundary coefficients differ."""
-        deltas = {self.nonzero.get(i, ZERO) for i, s in enumerate(self.basis.symbols)
-                  if s.startswith("delta_")} or {ZERO}
-        return deltas.pop() if len(deltas) == 1 else None
+    def _form(self) -> tuple[dict[int, int], int, int | None]:
+        """Numerators by position over one positive denominator, and the one
+        every ``delta_*`` symbol shares (0 without any; None if they differ)."""
+        nums, den = _over_lcm(self.nonzero.values())
+        nums = dict(zip(self.nonzero, nums))
+        deltas = {nums.get(i, 0) for i, s in enumerate(self.basis.symbols)
+                  if s.startswith("delta_")} or {0}
+        return nums, den, deltas.pop() if len(deltas) == 1 else None
 
     @classmethod
     def from_map(cls, b: BasisSpec, coeffs: dict[str, Q]) -> "DivisorClass":
@@ -142,18 +149,18 @@ class CurveRecord:
     """A one-parameter family recorded by its intersection numbers.
 
     The intersection vector pairs against explicit basis coefficients; it
-    is stored like a class's (``nonzero``, with the dense view ``vector``),
-    and both are None when the record commits no vector.  ``total_delta``
-    instead records a single pairing with the total boundary, usable only
-    against classes whose boundary coefficients are all equal.  A record
-    may carry known pairings with named divisors whose class is unknown
-    (e.g. the curve ``B3``, whose individual intersection numbers are not
-    committed).
+    is held like a class's (``nonzero`` or ``_form``, with the dense view
+    ``vector``), and all are None when the record commits no vector.
+    ``total_delta`` instead records a single pairing with the total
+    boundary, usable only against classes whose boundary coefficients are
+    all equal.  A record may carry known pairings with named divisors whose
+    class is unknown (e.g. the curve ``B3``, whose individual intersection
+    numbers are not committed).
     """
 
     name: str
     basis: BasisSpec
-    nonzero: dict[int, Q] | None
+    nonzero: dict[int, Q] | None  # this and total_delta: also views of _form, below
     known_pairings: dict[str, Q]
     total_delta: Q | None
 
@@ -167,6 +174,37 @@ class CurveRecord:
             known_pairings={} if known_pairings is None else known_pairings,
             total_delta=(total_delta if total_delta is None or isinstance(total_delta, Q)
                          else Q(total_delta)))
+
+    @classmethod
+    def _of_ints(cls, name: str, basis: BasisSpec, nums: dict[int, int], den: int,
+                 td: int | None = None, known_pairings=None) -> "CurveRecord":
+        """The record of the numerators ``nums`` by position, given in position
+        order, and ``td`` over ``den`` > 0, divided by their gcd, zeros dropped."""
+        k = gcd(den, td or 0, *nums.values())
+        self = object.__new__(cls)
+        vars(self).update(name=name, basis=basis, known_pairings=known_pairings or {},
+                          _form=({i: v // k for i, v in nums.items() if v}, den // k,
+                                 None if td is None else td // k))
+        return self
+
+    @cached_property
+    def _form(self) -> tuple[dict[int, int] | None, int, int | None]:
+        """Numerators by position (None without a vector) and of ``total_delta``
+        (None without one) over one positive denominator; ``_of_ints`` sets it."""
+        td = self.total_delta
+        nums, den = _over_lcm([*(self.nonzero or {}).values(), td or ZERO])
+        return (None if self.nonzero is None else dict(zip(self.nonzero, nums)), den,
+                None if td is None else nums[-1])
+
+    @cached_property
+    def nonzero(self) -> dict[int, Q] | None:
+        nums, den, _ = self._form
+        return None if nums is None else {i: Q(n, den) for i, n in nums.items()}
+
+    @cached_property
+    def total_delta(self) -> Q | None:
+        _, den, td = self._form
+        return None if td is None else Q(td, den)
 
     @cached_property
     def vector(self) -> tuple[Q, ...] | None:
@@ -185,41 +223,30 @@ class CurveRecord:
         return self.nonzero.get(self.basis.index(symbol), ZERO)
 
 
-def pair(curve: CurveRecord, c: DivisorClass) -> Q:
-    """Intersection number of a recorded curve with a divisor class.
-
-    Walks the curve's nonzero entries and looks each one up in the class.
-    A curve's ``total_delta`` pairs with the class's common boundary
-    coefficient, which is found, and checked to be uniform, once per class.
-    Exact, with one reduction: the products are summed as an integer
-    numerator over the running lcm of their denominators, and a single
-    Fraction is built at the end.
-    """
+def _pair_ints(curve: CurveRecord, c: DivisorClass) -> tuple[int, int]:
+    """``pair(curve, c)`` as an integer numerator over a positive denominator."""
     if curve.basis is not c.basis and curve.basis != c.basis:
         raise ValueError("curve and class live over different bases")
-    if curve.nonzero is None:
+    nums, den, td = curve._form
+    if nums is None:
         raise ValueError(f"curve {curve.name!r} has no committed intersection vector")
-    coeffs = c.nonzero
-    terms = [(v, coeffs[i]) for i, v in curve.nonzero.items() if i in coeffs]
-    if curve.total_delta is not None:
-        boundary = c._uniform_boundary
+    num, (coeffs, c_den, boundary) = 0, c._form
+    for i, v in nums.items():
+        num += v * coeffs.get(i, 0)
+    if td is not None:
         if boundary is None:
             raise ValueError(
                 "curve records only a total boundary pairing but the class has "
                 "non-uniform boundary coefficients")
-        if boundary:
-            terms.append((curve.total_delta, boundary))
-    num, den = 0, 1
-    for v, a in terms:
-        tn = v.numerator * a.numerator
-        td = v.denominator * a.denominator
-        if td == den:
-            num += tn
-        else:
-            k = gcd(den, td)
-            num = num * (td // k) + tn * (den // k)
-            den = den // k * td
-    return Q(num, den)
+        num += td * boundary
+    return num, den * c_den
+
+
+def pair(curve: CurveRecord, c: DivisorClass) -> Q:
+    """Intersection number of a recorded curve with a divisor class: the dot
+    product of their integer forms, ``total_delta`` times the class's common
+    boundary numerator (checked uniform once per class) included."""
+    return Q(*_pair_ints(curve, c))
 
 
 def substitute_relation(c: DivisorClass, eliminated_symbol: str,

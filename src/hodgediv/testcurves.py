@@ -14,7 +14,9 @@ known intersection numbers:
 
 :func:`derive_theorem_class` runs the whole pipeline for any genus and must
 reproduce :func:`hodgediv.picard.class_D` exactly.  Every family here gets
-its basis from :func:`hodgediv.picard.basis`, which checks g >= 2.
+its basis from :func:`hodgediv.picard.basis`, which checks g >= 2, and has
+integer intersection numbers, so its record is built from integer
+numerators over the denominator 1.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ from .picard import (
 )
 
 
+def _integral(name: str, b, entries: dict[str, int],
+              known_pairings: dict[str, Q] | None = None) -> CurveRecord:
+    """The record of integer ``entries`` by symbol: numerators over 1."""
+    nums = sorted((b.index(sym), v) for sym, v in entries.items())
+    return CurveRecord._of_ints(name, b, dict(nums), 1, known_pairings=known_pairings)
+
+
 def curve_A(g: int) -> CurveRecord:
     """A line in a fiber over a fixed general smooth curve.
 
@@ -45,9 +54,7 @@ def curve_A(g: int) -> CurveRecord:
     with the Weierstrass-zero divisor D.
     """
     b = basis(PHODGE_ABELIAN, g)
-    return CurveRecord.from_map(
-        "A", b, {"eta": Q(-1)},
-        known_pairings={"D": Q((g - 1) * g * (g + 1))})
+    return _integral("A", b, {"eta": -1}, known_pairings={"D": Q((g - 1) * g * (g + 1))})
 
 
 def curve_B(g: int) -> CurveRecord:
@@ -57,9 +64,8 @@ def curve_B(g: int) -> CurveRecord:
     eta-degree 0; pairs with D in g^2 - 1 points.
     """
     b = basis(PHODGE_ABELIAN, g)
-    return CurveRecord.from_map(
-        "B", b, {"lambda": Q(1), "delta_0": Q(12), "delta_1": Q(-1)},
-        known_pairings={"D": Q(g * g - 1)})
+    return _integral("B", b, {"lambda": 1, "delta_0": 12, "delta_1": -1},
+                     known_pairings={"D": Q(g * g - 1)})
 
 
 def curve_C(g: int, i: int) -> CurveRecord:
@@ -72,9 +78,8 @@ def curve_C(g: int, i: int) -> CurveRecord:
     b = basis(PHODGE_ABELIAN, g)
     if not 1 <= i <= g // 2:
         raise ValueError(f"boundary index i={i} out of range for genus {g}")
-    return CurveRecord.from_map(
-        f"C_{i}", b, {f"delta_{i}": Q(2 - 2 * (g - i))},
-        known_pairings={"D": rhs_C_dot_D(g, i)})
+    return _integral(f"C_{i}", b, {f"delta_{i}": 2 - 2 * (g - i)},
+                     known_pairings={"D": rhs_C_dot_D(g, i)})
 
 
 def curves_B1_B2_B3(g: int, i: int) -> tuple[CurveRecord, CurveRecord, CurveRecord]:
@@ -90,13 +95,12 @@ def curves_B1_B2_B3(g: int, i: int) -> tuple[CurveRecord, CurveRecord, CurveReco
     if not 1 <= i <= g // 2:
         raise ValueError(f"boundary index i={i} out of range for genus {g}")
     b = basis(MBAR_G1, g)
-    b1 = CurveRecord.from_map("B1", b, {f"delta_{i}m": Q(2 - 2 * (g - i))})
+    b1 = _integral("B1", b, {f"delta_{i}m": 2 - 2 * (g - i)})
     # delta_im and delta_{g-i}m coincide when g = 2i; accumulate.
-    b2_entries: dict[str, Q] = {"psi": Q(1)}
-    b2_entries[f"delta_{i}m"] = Q(1)
+    b2_entries = {"psi": 1, f"delta_{i}m": 1}
     key = f"delta_{g - i}m"
-    b2_entries[key] = b2_entries.get(key, Q(0)) + Q(1 - 2 * g + 2 * i)
-    b2 = CurveRecord.from_map("B2", b, b2_entries)
+    b2_entries[key] = b2_entries.get(key, 0) + 1 - 2 * g + 2 * i
+    b2 = _integral("B2", b, b2_entries)
     b3 = CurveRecord(
         "B3", b, None,
         known_pairings={"W": Q((g - i - 1) * (g - i) * (g - i + 1))})
@@ -183,13 +187,10 @@ def moving_curve_catalog(g: int) -> list[CurveRecord]:
     as the moving curve in delta_1.
     """
     b = basis(MBAR_G, g)
-    records = [CurveRecord.from_map(
-        "X_irr", b, {"delta_0": Q(2 - 2 * g), "delta_1": Q(1)})]
+    records = [_integral("X_irr", b, {"delta_0": 2 - 2 * g, "delta_1": 1})]
     if g >= 3:
         for i in range(1, g // 2 + 1):
-            records.append(CurveRecord.from_map(
-                f"X_{i}", b, {f"delta_{i}": Q(2 - 2 * (g - i))}))
+            records.append(_integral(f"X_{i}", b, {f"delta_{i}": 2 - 2 * (g - i)}))
     else:
-        records.append(CurveRecord.from_map(
-            "X_pencil", b, {"lambda": Q(1), "delta_0": Q(12), "delta_1": Q(-1)}))
+        records.append(_integral("X_pencil", b, {"lambda": 1, "delta_0": 12, "delta_1": -1}))
     return records

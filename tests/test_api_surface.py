@@ -20,9 +20,6 @@ ALLOWED = {
     "QMatrix.mul_vector": "acceptance criterion 10 checks the solver's answers with it",
     "psi_degree": "acceptance criterion 7 checks the cotangent degrees with it",
     "QMatrix.from_rows": "the benchmark and acceptance criterion 10 build systems with it",
-    "read_catalog": "the benchmark reads the written catalog back; planned `catalog check`",
-    "record_to_class": "the benchmark parses catalog classes; planned `catalog check`",
-    "record_to_curve": "the benchmark parses catalog curves; planned `catalog check`",
 }
 
 

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from hodgediv import catalog
 from hodgediv.cli import main
 
 
@@ -433,3 +435,146 @@ def test_pipeline_commands_fuzz_keep_the_exit_code_contract(tmp_path_factory, ar
     if result.exit_code == 2:
         errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1, result.stderr
+
+
+@pytest.mark.parametrize("kind, options", [
+    ("abelian", ["--lyapunov", "1", "--carea", "x"]),
+    ("quadratic", ["--carea", "1", "--lyapunov", "x"]),
+], ids=["abelian-carea", "quadratic-lyapunov"])
+def test_teich_pair_malformed_unused_value_exits_2(runner, kind, options):
+    """``teich pair`` parses both parameter options, whichever ``--kind`` reads."""
+    result = runner.invoke(main, ["teich", "pair", "--kind", kind, "--genus", "3",
+                                  "--chi", "2", *options])
+    assert "must be a rational p/q, got 'x'" in _one_error_line(result)
+
+
+@pytest.mark.parametrize("kind, used, unused", [
+    ("abelian", ["--lyapunov", "2/2"], ["--carea", "5/3"]),
+    ("quadratic", ["--carea", "4/2"], ["--lyapunov", "1"]),
+])
+def test_teich_pair_echoes_only_the_value_its_kind_reads(runner, kind, used, unused):
+    args = ["teich", "pair", "--kind", kind, "--genus", "3", "--chi", "2", "--json", *used]
+    alone, both = runner.invoke(main, args), runner.invoke(main, args + unused)
+    assert alone.exit_code == both.exit_code == 0
+    assert alone.stdout == both.stdout
+    assert set(json.loads(both.stdout)["inputs"]) == {"kind", "genus", "chi", used[0][2:]}
+
+
+@pytest.fixture
+def written_catalog(runner, tmp_path, monkeypatch):
+    path = tmp_path / "cat.json"
+    monkeypatch.setenv("HODGEDIV_CATALOG", str(path))
+    assert runner.invoke(main, ["catalog", "write", "--genus", "3", "--genus", "4"]).exit_code == 0
+    return path
+
+
+def test_catalog_check_round_trip_exits_0(runner, written_catalog):
+    result = runner.invoke(main, ["catalog", "check", "--json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["verdict"] == "match" and payload["skipped_without_vector"] == 3
+    assert [row["quantity"] for row in payload["rows"]] == [
+        "A.D (PHodgeAbelian, g=3)", "B.D (PHodgeAbelian, g=3)", "C_1.D (PHodgeAbelian, g=3)",
+        "A.D (PHodgeAbelian, g=4)", "B.D (PHodgeAbelian, g=4)", "C_1.D (PHodgeAbelian, g=4)",
+        "C_2.D (PHodgeAbelian, g=4)"]
+    assert all(row["match"] for row in payload["rows"])
+    assert "verdict: match" in runner.invoke(main, ["catalog", "check"]).stdout
+
+
+def test_catalog_check_hand_edited_coefficient_exits_1(runner, written_catalog):
+    """Editing delta_1 of D in genus 4 breaks exactly the pairings of the
+    genus-4 curves with a delta_1 entry, B and C_1."""
+    records = json.loads(written_catalog.read_text())
+    d4 = next(r for r in records if r["name"] == "D" and r["genus"] == 4)
+    d4["coefficients"]["delta_1"] = "-20"
+    written_catalog.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+    result = runner.invoke(main, ["catalog", "check", "--json"])
+    assert result.exit_code == 1
+    payload = json.loads(result.stdout)
+    assert payload["verdict"] == "mismatch"
+    assert [row["quantity"] for row in payload["rows"] if not row["match"]] == [
+        "B.D (PHodgeAbelian, g=4)", "C_1.D (PHodgeAbelian, g=4)"]
+
+
+def _edited_record(name, genus, edit):
+    """A catalog text edit that applies ``edit`` to the record ``name`` of ``genus``."""
+    def apply(text):
+        records = json.loads(text)
+        edit(next(r for r in records if r["name"] == name and r["genus"] == genus))
+        return json.dumps(records, indent=2, sort_keys=True) + "\n"
+    return apply
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text[:len(text) // 2], "malformed catalog .*: JSONDecodeError"),
+    (lambda text: text.replace('"space"', '"spice"', 1), "malformed catalog .*: missing key 'space'"),
+    (lambda text: text.replace('"-6"', '"x"', 1), "malformed catalog .*: Invalid literal"),
+    (lambda text: text.replace('"-6"', '"1/0"', 1), "malformed catalog .*: ZeroDivisionError"),
+    (lambda text: text.replace('"-6"', '-6', 1), "malformed catalog .*: '[a-z_0-9]+' must be str, got int"),
+    (lambda text: text.replace('"genus": 3', '"genus": "3"', 1), "'genus' must be int, got str"),
+    (lambda text: text.replace('"genus": 3', '"genus": 1000000000', 1),
+     "malformed catalog .*: genus must be <= 10000, got 1000000000"),
+    (_edited_record("B", 3, lambda r: r["vector"].update(delta_7="5")),
+     "malformed catalog .*: symbol 'delta_7' not in basis PHodgeAbelian\\(3\\)"),
+    (_edited_record("B", 3, lambda r: r["vector"].pop("delta_1")),
+     "malformed catalog .*: missing key 'delta_1'"),
+    (_edited_record("B", 3, lambda r: r.update(vector=[])), "'vector' must be dict or NoneType, got list"),
+    (lambda text: "[1, 2]\n", "catalog entry 0 is not a named class or curve record"),
+    (lambda text: '{"record": "class"}\n', "the catalog is not a JSON list of records"),
+    (lambda text: "[" * 100_000 + "]" * 100_000, "malformed catalog .*: RecursionError"),
+    (lambda text: text.replace('"D": "24"', '"Q": "24"', 1), "names no class record 'Q'"),
+], ids=["truncated", "missing-key", "bad-rational", "zero-denominator", "int-entry", "string-genus",
+        "huge-genus", "unknown-symbol", "missing-symbol", "list-vector", "not-records", "not-a-list",
+        "deep-nesting", "unknown-class"])
+def test_catalog_check_malformed_file_exits_2(runner, written_catalog, edit, message):
+    written_catalog.write_text(edit(written_catalog.read_text()))
+    result = runner.invoke(main, ["catalog", "check"])
+    assert re.search(message, _one_error_line(result))
+    assert result.stdout == ""
+
+
+def test_catalog_check_missing_file_exits_2(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv("HODGEDIV_CATALOG", str(tmp_path / "none.json"))
+    result = runner.invoke(main, ["catalog", "check"])
+    assert _one_error_line(result) == (f"Error: cannot read catalog {tmp_path / 'none.json'}: "
+                                       "No such file or directory")
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers(-10**6, 10**6)
+                     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def edited_catalogs(draw):
+    """The text of a genus-3 catalog with one drawn edit: a record key or a
+    coefficient replaced by a drawn JSON value or deleted, or the text cut."""
+    records = json.loads(catalog.dumps(catalog.build_catalog(3)))
+    edit = draw(st.sampled_from(["replace", "delete", "nested", "cut"]))
+    if edit == "cut":
+        text = catalog.dumps(records)
+        return text[:draw(st.integers(0, len(text)))]
+    rec = draw(st.sampled_from(records))
+    key = draw(st.sampled_from(sorted(rec)))
+    if edit == "nested" and isinstance(rec[key], dict) and rec[key]:
+        rec, key = rec[key], draw(st.sampled_from(sorted(rec[key])))
+    if edit == "delete":
+        del rec[key]
+    else:
+        rec[key] = draw(_JSON)
+    return json.dumps(records)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edited_catalogs())
+def test_catalog_check_fuzz_keeps_the_exit_code_contract(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("check") / "catalog.json"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["catalog", "check"], env={"HODGEDIV_CATALOG": str(path)})
+    assert result.exit_code in (0, 1, 2), (result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    if result.exit_code == 1:
+        assert result.stdout.splitlines()[-1] == "verdict: mismatch"
+    elif result.exit_code == 2:
+        _one_error_line(result)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -259,6 +260,22 @@ def test_zero_denominator_is_an_error():
 @given(rationals)
 def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x
+
+
+@pytest.mark.parametrize("text", ["0", "5", "-12", "123456789012345678901234567890", "0005", "-0",
+                                  "٣", "-1/2", "4/2", "--5", "-", "", " 5", " -7\n", "+5", "5_0",
+                                  "²", "1.5", "x", "1/0", "9" * 5000])
+def test_parse_rational_reads_as_fraction(text):
+    """An integer is read by ``int``, and every string gives the value of
+    the Fraction parser, or its exception and message."""
+    try:
+        expected = Q(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            parse_rational(text)
+    else:
+        value = parse_rational(text)
+        assert value == expected and type(value) is Q
 
 
 def test_format_integers_without_denominator():

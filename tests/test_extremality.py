@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -301,3 +302,90 @@ def test_certificate_is_sharp_on_sample_grid(kind, g):
     assert max(values.values()) == 0
     assert {name for name, v in values.items() if v == 0} == binding
     assert certificate_check(stratum, ample, d, curves).passed
+
+
+@given(teich_curves())
+def test_teich_vectors_store_the_form_of_the_fraction_formulas(curve):
+    """Built from integer numerators, a Teichmueller vector stores the same
+    canonical integer form, total boundary included, as the generic
+    constructor gives the Fraction formulas."""
+    kind, g, p, t = curve
+    build = teich_vector_abelian if kind == "abelian" else teich_vector_quadratic
+    rec = build(g, p, t)
+    entries, total_delta, name = reference_vector(kind, p, t)
+    expected = CurveRecord.from_map(name, rec.basis, entries, total_delta=total_delta)
+    assert rec._form == expected._form
+    assert rec == expected
+
+
+def oracle_violations(kind, p, stratum, ample, d, params):
+    """(name, value) of every curve with C.(S + d A) > 0, in order, paired
+    Fraction by Fraction from the Fraction formulas and the dense classes."""
+    b = stratum.basis
+    shifted = [s + d * a for s, a in zip(stratum.coeffs, ample.coeffs)]
+    out, zeros = [], 0
+    for t in params:
+        entries, total_delta, name = reference_vector(kind, p, t)
+        value = Q(0)
+        for sym, v in entries.items():
+            value += v * shifted[b.index(sym)]
+        if total_delta is not None:
+            value += total_delta * shifted[2]
+        zeros += value == 0
+        if value > 0:
+            out.append((name, value))
+    return out, zeros
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_certificate_check_equals_a_fraction_oracle_on_seeded_grids(seed):
+    """Same violations, names, Fraction values and order as the oracle, at
+    the computed d (where the binding curves give exactly 0), at 2d, d/2
+    and a random d, over grids with both ends of the parameter interval."""
+    rng = random.Random(seed)
+    kind = rng.choice(["abelian", "quadratic"])
+    g = rng.randint(2, 60)
+    p = double_zero_partition(kind, g)
+    a, b = Q(rng.randint(1, 12), rng.randint(1, 4)), Q(rng.randint(1, 12), rng.randint(1, 4))
+    c, cmax = Q(rng.randint(0, 6), rng.randint(10, 40)), Q(rng.randint(1, 12), rng.randint(1, 4))
+    if kind == "abelian":  # keeps the threshold denominator 3(b - 12 c kappa_mu) positive at L = 0
+        c = min(c, b / (12 * kappa_mu(p)) * Q(rng.randint(0, 9), 10))
+    stratum = class_stratum_abelian(g) if kind == "abelian" else class_stratum_quadratic(g)
+    boundary = ({"delta_0": c} if kind == "abelian"
+                else {f"delta_{i}": c for i in range(g // 2 + 1)})
+    ample = DivisorClass.from_map(stratum.basis, {"lambda": a, "eta": b, **boundary})
+    steps = rng.randint(5, 30)
+    chis = {Q(rng.randint(1, 60), rng.randint(1, 6)) for _ in range(3)}
+    if kind == "abelian":
+        d = threshold_abelian(a, b, c, g)
+        xs = {Q(g * j, steps) for j in range(steps + 1)} | {kappa_mu(p)}
+        params = [TeichParamsAbelian(chi, x, g) for chi in sorted(chis) for x in sorted(xs)]
+        curves = [teich_vector_abelian(g, p, t) for t in params]
+    else:
+        d = threshold_quadratic(a, b, c, g, cmax)
+        params = [TeichParamsQuadratic(chi, cmax * Q(j, steps))
+                  for chi in sorted(chis) for j in range(steps + 1)]
+        curves = [teich_vector_quadratic(g, p, t) for t in params]
+    for k, dd in enumerate((d, 2 * d, d / 2, d * Q(rng.randint(1, 99), rng.randint(1, 99)))):
+        expected, zeros = oracle_violations(kind, p, stratum, ample, dd, params)
+        report = certificate_check(stratum, ample, dd, curves)
+        assert list(report.violations) == expected
+        assert all(type(v) is Q for _, v in report.violations)
+        assert report.passed == (not expected)
+        if k == 0:
+            assert not expected and zeros == len(chis)
+
+
+def test_non_uniform_boundary_raises_in_the_certificate_on_every_total_delta_curve():
+    """A shifted class with differing boundary coefficients raises on each
+    quadratic curve (each records a total boundary), also when its
+    c_area is 0; abelian curves pair it."""
+    for g in (2, 3, 8, 31):
+        stratum = class_stratum_quadratic(g)
+        lopsided = DivisorClass.from_map(stratum.basis, {"lambda": Q(1), "delta_0": Q(1, 7)})
+        for curve in sample_grid("quadratic", g, Q(5, 2)):
+            with pytest.raises(ValueError, match="non-uniform boundary"):
+                certificate_check(stratum, lopsided, Q(1, 3), [curve])
+        abelian = class_stratum_abelian(g)
+        lopsided = DivisorClass.from_map(abelian.basis, {"lambda": Q(1), "delta_0": Q(1, 7)})
+        assert certificate_check(abelian, lopsided, Q(1, 3), sample_grid("abelian", g, Q(0))).d == Q(1, 3)

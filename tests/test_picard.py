@@ -1,9 +1,24 @@
+import ast
+import random
+import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Q
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hodgediv.catalog import build_catalog
+from hodgediv.extremality import (
+    TeichParamsAbelian,
+    TeichParamsQuadratic,
+    double_zero_partition,
+    sample_grid,
+    teich_vector_abelian,
+    teich_vector_quadratic,
+)
 from hodgediv.picard import (
     BasisSpec,
     CurveRecord,
@@ -20,6 +35,7 @@ from hodgediv.picard import (
     pair,
     substitute_relation,
 )
+from hodgediv.testcurves import derive_theorem_class
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 # denominators large enough that their lcm matters
@@ -314,3 +330,121 @@ def test_replace_round_trips():
     assert replace(uncommitted) == uncommitted
     with pytest.raises(TypeError):  # the vector is stored as ``nonzero``, not replaced silently
         replace(rec, vector=(Q(1),) * 5)
+
+
+def assert_canonical(nums, den, td=None):
+    """The stored integer form: den > 0, positions in order, no zero
+    numerator, and gcd(den, numerators, td) = 1."""
+    assert type(den) is int and den > 0
+    assert list(nums) == sorted(nums) and all(type(v) is int and v for v in nums.values())
+    assert td is None or type(td) is int
+    assert gcd(den, *nums.values(), td or 0) == 1
+
+
+def stored_form(x):
+    """The integer form of a class or curve, built from its Fractions when
+    it was given them: numerators and denominator."""
+    return x._form[:2]
+
+
+@given(st.data())
+def test_equal_classes_have_one_stored_form(data):
+    """A class built dense, by position, through ``from_map`` or through
+    +, -, negation and ``scale`` stores the same canonical integer form, and
+    has the same == and hash, whenever the values are equal; different
+    values store different forms."""
+    b = basis(data.draw(st.sampled_from([PHODGE_ABELIAN, PHODGE_QUADRATIC, MBAR_G1])),
+              data.draw(st.integers(min_value=2, max_value=60)))
+    n = len(b.symbols)
+    entries = data.draw(st.dictionaries(st.integers(0, n - 1), wide_rationals | st.just(Q(0)),
+                                        max_size=8))
+    other = DivisorClass(b, nonzero=data.draw(st.dictionaries(st.integers(0, n - 1),
+                                                              wide_rationals, max_size=8)))
+    t = data.draw(wide_rationals.filter(bool))
+    x = DivisorClass(b, nonzero=entries)
+    for y in (x, DivisorClass(b, tuple(entries.get(i, 0) for i in range(n))),
+              DivisorClass.from_map(b, {b.symbols[i]: v for i, v in entries.items()}),
+              (x + other) - other, -(-x), x.scale(t).scale(1 / t), (t * x) * (1 / t),
+              x - DivisorClass(b, nonzero={})):
+        nums, den = stored_form(y)
+        assert_canonical(nums, den)
+        assert stored_form(y) == stored_form(x)
+        assert y == x and hash(y) == hash(x)
+        assert y.nonzero == {i: Q(v, den) for i, v in nums.items()} == x.nonzero
+    assert (stored_form(other) == stored_form(x)) == (other == x) == (other.coeffs == x.coeffs)
+
+
+@given(st.data())
+def test_equal_curves_have_one_stored_form(data):
+    """A curve built dense, by position, through ``from_map``, ``replace`` or
+    the integer constructor (from the form, or from a multiple of it with
+    the zeros written out) stores one canonical form, the total boundary
+    numerator over the same denominator, and reads back the same values."""
+    b = basis(data.draw(st.sampled_from([PHODGE_ABELIAN, PHODGE_QUADRATIC, MBAR_G1])),
+              data.draw(st.integers(min_value=2, max_value=60)))
+    n = len(b.symbols)
+    entries = data.draw(st.dictionaries(st.integers(0, n - 1), wide_rationals | st.just(Q(0)),
+                                        max_size=6))
+    total_delta = data.draw(st.none() | st.just(Q(0)) | wide_rationals)
+    rec = CurveRecord("c", b, nonzero=entries, total_delta=total_delta)
+    nums, den, td = rec._form
+    assert_canonical(nums, den, td)
+    for other in (CurveRecord("c", b, tuple(entries.get(i, 0) for i in range(n)), None, total_delta),
+                  CurveRecord.from_map("c", b, {b.symbols[i]: v for i, v in entries.items()},
+                                       total_delta=total_delta),
+                  replace(rec, known_pairings={}),
+                  CurveRecord._of_ints("c", b, dict(nums), den, td),
+                  CurveRecord._of_ints("c", b, {i: 3 * nums.get(i, 0) for i in range(n)}, 3 * den,
+                                       None if td is None else 3 * td)):
+        assert other._form == rec._form and other == rec
+        assert other.nonzero == {i: v for i, v in entries.items() if v}
+        assert other.total_delta == total_delta and type(other.total_delta) is type(total_delta)
+        assert other.vector == tuple(Q(entries.get(i, 0)) for i in range(n))
+
+
+def _callers_of_the_integer_constructor() -> set[str]:
+    """Names of the package functions that call ``CurveRecord._of_ints``."""
+    callers = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "hodgediv").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.FunctionDef) and node.name != "_of_ints"
+                    and any(isinstance(n, ast.Attribute) and n.attr == "_of_ints"
+                            for n in ast.walk(node))):
+                callers.add(node.name)
+    return callers
+
+
+def test_every_package_call_of_the_integer_constructor_stores_a_canonical_form(monkeypatch):
+    """Every call of ``CurveRecord._of_ints`` made by the package, from each
+    of its callers, over g = 2..60: the test curves and the catalog, the
+    certificate grids and seeded Teichmueller curves of both kinds.  Each
+    hands its numerators in position order and gets the canonical form."""
+    callers = _callers_of_the_integer_constructor()
+    assert callers == {"_integral", "teich_vector_abelian", "teich_vector_quadratic"}
+    seen = Counter()
+    build = CurveRecord._of_ints.__func__
+
+    def checked(cls, name, b, nums, den, td=None, known_pairings=None):
+        seen[sys._getframe(1).f_code.co_name] += 1
+        assert list(nums) == sorted(nums) and den > 0
+        rec = build(cls, name, b, nums, den, td, known_pairings)
+        assert_canonical(*rec._form)
+        return rec
+
+    monkeypatch.setattr(CurveRecord, "_of_ints", classmethod(checked))
+    rng = random.Random(12)
+    for g in range(2, 61):
+        assert derive_theorem_class(g) == class_D(g)
+        build_catalog(g)
+        for kind in ("abelian", "quadratic"):
+            part = double_zero_partition(kind, g)
+            sample_grid(kind, g, Q(rng.randint(0, 40), rng.randint(1, 9)))
+            for _ in range(20):
+                chi = Q(rng.randint(1, 10**4), rng.randint(1, 10**4))
+                den = rng.randint(1, 10**4)
+                x = Q(rng.randint(0, g * den), den)
+                if kind == "abelian":
+                    teich_vector_abelian(g, part, TeichParamsAbelian(chi, x, g))
+                else:
+                    teich_vector_quadratic(g, part, TeichParamsQuadratic(chi, x))
+    assert set(seen) == callers
