@@ -5,17 +5,17 @@ instances (aliased ``Q`` here), which are always kept in canonical form
 (gcd(|p|, q) = 1, q > 0) and raise ``ZeroDivisionError`` on a zero
 denominator.  A matrix is stored by rows, each a map column -> nonzero
 entry in column order.  :func:`_over_lcm` is the one routine that scales
-rationals to integer numerators over their lcm: for solver rows, Chow
-products and the classes and curves of :mod:`hodgediv.picard`.
+rationals to integer numerators over their lcm: for solver rows and
+right-hand sides, Chow products and the records of :mod:`hodgediv.picard`.
 
-The solver eliminates fraction-free over Python ints: each row of
-``[A | b]`` is scaled to integers, and each updated row is divided by its
-content (the gcd of its entries).  That keeps every row, up to sign, the
-primitive part of the matching Bareiss row, so entries stay within the
-Hadamard bound of the minors of ``[A | b]``.  Pivoting is first-nonzero, as
-in plain Gaussian elimination, so the pivots, the rank and the exceptions
-are those of elimination over Fractions; only the solution is turned back
-into canonical Fractions.
+The solver eliminates fraction-free over Python ints by Bareiss's
+integer-preserving elimination, kept lazy: a row is rescaled only when its
+entry in the pivot column is nonzero, and every division is exact, by a
+pivot already known, so no gcd is taken while eliminating.  Each stored
+entry is a minor of the integer system and stays within its Hadamard
+bound.  Pivoting is first-nonzero, as in plain Gaussian elimination, so the
+pivots, the rank and the exceptions are those of elimination over
+Fractions; only the solution is turned back into canonical Fractions.
 """
 
 from __future__ import annotations
@@ -122,29 +122,33 @@ class QMatrix:
 
 
 def solve_exact(a: QMatrix, b: Sequence[Q]) -> tuple[Q, ...]:
-    """Solve A x = b exactly by fraction-free elimination over Python ints.
+    """Solve A x = b exactly by lazy fraction-free (Bareiss) elimination.
 
-    The rows of A are taken in as stored, column -> nonzero entry, so no
-    zero entry of A is ever tested or converted: each row of ``[A | b]``
-    becomes a dense int list, scaled by the lcm of the denominators of its
-    nonzero entries.  Pivoting is first-nonzero: the pivot of a column is the
-    first remaining row with a nonzero entry there, and rows whose entry in
-    the pivot column is 0 are skipped.  Row r is updated as
-    ``fp*row_r - fr*row_p`` (fp, fr divided by their gcd) and then divided
-    by its content, the gcd of its entries.
+    Scaling: ``b`` becomes integer numerators over the lcm L of its
+    denominators, once as a column, and each row of A, taken in as stored
+    (column -> nonzero entry), is scaled by the lcm d of its own
+    denominators; the integer row is ``[d*A_r | d*L*b_r]``, so the system
+    solves for y = L x.  Scaling b per row instead would put d into every
+    entry of the row, and Bareiss carries such factors into every minor.
 
-    Every row stays a nonzero multiple of the row that elimination over
-    Fractions would hold, so the pivots and the rank are the same.  Dividing
-    out the content makes the row, up to sign, the primitive part of the
-    matching Bareiss row, whose entries are minors of the scaled ``[A | b]``:
-    they stay within the Hadamard bound instead of growing exponentially
-    with the number of steps.  Plain Bareiss would need no gcds but rescales
-    every remaining row at every pivot, which costs more on the near-diagonal
-    systems that deriving D poses.
+    Elimination: pivoting is first-nonzero; the pivot of a column is the
+    first remaining row with a nonzero entry there.  With p_0 = 1 and p_k
+    the pivot of step k, the eager Bareiss update of a row at step k is
+    ``(p_k*row - f*P)/p_{k-1}``, exact by Sylvester's identity, and its
+    entries are minors of the integer ``[A | b]``.  A row with f = 0 would
+    only be multiplied by p_k/p_{k-1}, so it is left as it is: row r keeps
+    ``lvl[r]``, the pivot p_l of the step that last updated it, and its
+    Bareiss row at level k-1 is ``row*p_{k-1}/p_l``.  Substituting that,
+    a row with f != 0 becomes ``(p_k*row - f*P)//lvl[r]``, with P the pivot
+    row raised to level k-1 and p_k = ``e*p_{k-1}//lvl[P]`` for its stored
+    entry e; P is raised only when some row below needs it.  On a dense
+    system this is plain Bareiss; on the near-diagonal systems that deriving
+    D poses most rows are never touched.  Every stored row is a nonzero
+    multiple of the row elimination over Fractions would hold, so the pivots
+    and the rank are the same.
 
-    Back-substitution, O(n^2), keeps the solution as integer numerators
-    over one common denominator, the lcm of the reduced denominators found
-    so far, and returns canonical Fractions.
+    Back-substitution, O(n^2), keeps y as integer numerators over one
+    common denominator q and returns the canonical Fractions p/(q*L).
 
     Raises :class:`InconsistentSystem` when no solution exists and
     :class:`UnderdeterminedSystem` when the solution is not unique; both
@@ -153,40 +157,45 @@ def solve_exact(a: QMatrix, b: Sequence[Q]) -> tuple[Q, ...]:
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
     ncols = a.cols
+    bnums, scale = _over_lcm([v if isinstance(v, Q) else Q(v) for v in b])
     m = []
-    for row, v in zip(a.nonzero_rows, b):
-        nums, _ = _over_lcm([*row.values(), v if isinstance(v, Q) else Q(v)])
-        ints = [0] * ncols + nums[-1:]
+    for row, bv in zip(a.nonzero_rows, bnums):
+        nums, d = _over_lcm(row.values())
+        ints = [0] * ncols + [bv * d]
         for j, e in zip(row, nums):
             ints[j] = e
         m.append(ints)
+    lvl = [1] * a.rows
+    prev = 1
     rank = 0
     for piv_c in range(ncols):
         hit = next((r for r in range(rank, a.rows) if m[r][piv_c]), None)
         if hit is None:
             continue
         m[rank], m[hit] = m[hit], m[rank]
-        prow = m[rank]
-        fp = prow[piv_c]
+        lvl[rank], lvl[hit] = lvl[hit], lvl[rank]
+        prow, plvl = m[rank], lvl[rank]
+        pk = prow[piv_c] * prev // plvl
+        ptail = None
         for r in range(rank + 1, a.rows):
             row = m[r]
-            fr = row[piv_c]
-            if not fr:
+            f = row[piv_c]
+            if not f:
                 continue
-            g = gcd(fp, fr)
-            sp, sr = fp // g, fr // g
+            if ptail is None:
+                ptail = [x * prev // plvl for x in prow[piv_c + 1:]]
             # columns up to piv_c become 0 in the updated row
-            tail = [sp * x - sr * y for x, y in zip(row[piv_c + 1:], prow[piv_c + 1:])]
-            content = gcd(*tail)
-            if content > 1:
-                tail = [x // content for x in tail]
-            m[r] = [0] * (piv_c + 1) + tail
+            d = lvl[r]
+            m[r] = [0] * (piv_c + 1) + [(pk * x - f * y) // d
+                                        for x, y in zip(row[piv_c + 1:], ptail)]
+            lvl[r] = pk
+        prev = pk
         rank += 1
     if any(m[r][ncols] for r in range(rank, a.rows)):
         raise InconsistentSystem(rank)
     if rank < ncols:
         raise UnderdeterminedSystem(rank)
-    # full column rank: the pivot of row r sits in column r.  x_c = p[c] / q
+    # full column rank: the pivot of row r sits in column r.  y_c = p[c] / q
     # for every solved c, over one common denominator q > 0.
     p = [0] * ncols
     q = 1
@@ -203,4 +212,5 @@ def solve_exact(a: QMatrix, b: Sequence[Q]) -> tuple[Q, ...]:
             p = [k * v for v in p]
             q *= k
         p[r] = num * (q // den)
+    q *= scale
     return tuple(Q(v, q) for v in p)

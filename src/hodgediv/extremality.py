@@ -116,6 +116,11 @@ def kappa_mu(p: Partition) -> Q:
     return sum((Q(d * (d + 4), d + 2) for d in p.parts), Q(0)) / 24
 
 
+def _ratio(p: int, q: int) -> str:
+    """``str`` of the Fraction p/q in lowest terms, q > 0, without building it."""
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def teich_vector_abelian(g: int, p: Partition, t: TeichParamsAbelian) -> CurveRecord:
     """Intersection vector of an abelian-stratum Teichmueller curve:
     eta = chi/2, lambda = chi L / 2, delta_0 = (chi/2)(12L - 12 kappa_mu),
@@ -126,7 +131,8 @@ def teich_vector_abelian(g: int, p: Partition, t: TeichParamsAbelian) -> CurveRe
     n, q = t.chi.as_integer_ratio()
     r, s = t.L.as_integer_ratio()
     u, v = kappa_mu(p).as_integer_ratio()
-    return CurveRecord._of_ints(f"Teich(chi={t.chi},L={t.L})", basis(PHODGE_ABELIAN, g),
+    return CurveRecord._of_ints(f"Teich(chi={_ratio(n, q)},L={_ratio(r, s)})",
+                                basis(PHODGE_ABELIAN, g),
                                 {0: n * s * v, 1: n * r * v, 2: 12 * n * (r * v - s * u)},
                                 2 * q * s * v)
 
@@ -159,7 +165,8 @@ def teich_vector_quadratic(g: int, p: Partition, t: TeichParamsQuadratic) -> Cur
     n, q = t.chi.as_integer_ratio()
     r, s = t.c_area.as_integer_ratio()
     u, v = kappa_mu(p).as_integer_ratio()
-    return CurveRecord._of_ints(f"TeichQ(chi={t.chi},c={t.c_area})", basis(PHODGE_QUADRATIC, g),
+    return CurveRecord._of_ints(f"TeichQ(chi={_ratio(n, q)},c={_ratio(r, s)})",
+                                basis(PHODGE_QUADRATIC, g),
                                 {0: 2 * n * s * v, 1: n * (r * v + s * u)}, 2 * q * s * v,
                                 12 * n * r * v)
 

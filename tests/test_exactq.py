@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -133,6 +134,111 @@ def test_solve_matches_fraction_elimination(system):
     expected = _outcome(reference_solve, dense, b)
     assert _outcome(solve_exact, dense, b) == expected
     assert _outcome(solve_exact, sparse, b) == expected
+
+
+# the right-hand side's denominators reach 2^40, so an lcm over a few rows
+# exceeds 2^64
+wide_rationals = st.builds(Q, st.integers(-10**6, 10**6), st.integers(1, 2**40))
+
+
+@st.composite
+def block_sparse_systems(draw):
+    """[A | b] up to 10x10 whose rows are nonzero only on a band of columns
+    around a nonzero entry of their own (about 60% of all entries zero),
+    maybe one column empty, some rows combinations of others, in shuffled
+    order.  Elimination then meets rows left untouched for several steps,
+    pivots with nothing below them and columns without a pivot followed by
+    further pivots."""
+    ncols = draw(st.integers(1, 10))
+    nrows = draw(st.integers(max(1, ncols - 2), 10))
+    nfree = draw(st.just(nrows) | st.integers(1, nrows))
+    empty = {draw(st.integers(0, ncols - 1))} if draw(st.integers(0, 3)) == 0 else set()
+    rows = []
+    for i in range(nfree):
+        c = i % ncols
+        lo, hi = draw(st.integers(max(0, c - 3), c)), draw(st.integers(c, min(ncols - 1, c + 3)))
+        rows.append([Q(0) if j in empty or not lo <= j <= hi
+                     else draw(rationals.filter(bool) if j == c else rationals)
+                     for j in range(ncols)])
+    while len(rows) < nrows:
+        i, j = draw(st.integers(0, nfree - 1)), draw(st.integers(0, nfree - 1))
+        k = draw(rationals)
+        rows.append([x + k * y for x, y in zip(rows[i], rows[j])])
+    rows = draw(st.permutations(rows))
+    rhs = draw(st.sampled_from(["wide", "consistent", "consistent", "near"]))
+    if rhs == "wide":
+        b = draw(st.lists(wide_rationals, min_size=nrows, max_size=nrows))
+    else:
+        x0 = draw(st.lists(wide_rationals, min_size=ncols, max_size=ncols))
+        b = list(QMatrix.from_rows(rows).mul_vector(x0))
+        if rhs == "near":
+            b[draw(st.integers(0, nrows - 1))] += draw(wide_rationals)
+    return rows, b
+
+
+@given(block_sparse_systems())
+def test_block_sparse_solve_matches_fraction_elimination(system):
+    """Sparse, rank-deficient systems with wide right-hand sides: the same
+    solution, or the same exception and rank, as elimination over Fractions."""
+    rows, b = system
+    a = QMatrix.from_rows(rows)
+    assert _outcome(solve_exact, a, b) == _outcome(reference_solve, a, b)
+
+
+# One hand-built system per path of the lazy elimination; each is checked
+# against elimination over Fractions and against its known outcome.
+LAZY_PATH_SYSTEMS = {
+    # row 1 skips step 1 (zero in column 0) and row 2 is updated; at step 2,
+    # row 1 is the pivot, still at the level of the input, and row 2 below
+    # it has a nonzero entry, so the pivot row is raised to the current level
+    "stale pivot row raised": (
+        [[2, 1, 0], [0, 3, 1], [1, 1, 1]], (Q(1), Q(-2), Q(3, 4))),
+    # row 3 is updated at step 1, skips step 2 (zero in column 1) and is
+    # updated again at step 3, divided by the pivot of step 1, not of step 2
+    "stale row divided by its own level": (
+        [[2, 1, 1, 0], [0, 3, 1, 1], [0, 0, 1, 1], [1, Q(1, 2), 2, 1]],
+        (Q(1, 3), Q(-1), Q(2), Q(5, 7))),
+    # the pivot of column 1 is row 2, still at the level of the input, found
+    # below row 1, which was updated at step 1: the swap must carry each
+    # row's level with it
+    "pivot swapped past a row of another level": (
+        [[4, 0, 1, 0], [4, 0, 0, 0], [0, 2, 0, 0], [1, -4, 0, -4]],
+        (Q(-3, 4), Q(-1), Q(-1), Q(17, 16))),
+    # the pivot of column 1 has only zeros below it: no row is updated and
+    # only the running pivot advances
+    "pivot with nothing below it": (
+        [[3, 0, 1], [0, 5, 0], [1, 0, 2]], (Q(2), Q(-1, 5), Q(1))),
+    # column 1 has no pivot once column 0 is eliminated; column 2 still
+    # pivots, leaving rank 2 of 3 unknowns
+    "column without a pivot, then a pivot": (
+        [[2, 4, 0], [2, 4, 1], [3, 6, 1]], (UnderdeterminedSystem, 2)),
+    # the same matrix with an inconsistent right-hand side
+    "column without a pivot, inconsistent": (
+        [[2, 4, 0], [2, 4, 1], [3, 6, 1]], (InconsistentSystem, 2)),
+    # right-hand side denominators whose lcm is past 2^64, one entry given
+    # as a string
+    "right-hand side lcm past 2^64": (
+        [[Q(1, 3), 2, 0], [1, Q(-1, 2), 1], [0, 4, Q(5, 6)]],
+        (Q(1, 2**61 - 1), Q(-7, 3**41), Q(5, 2**31 - 1))),
+}
+
+
+@pytest.mark.parametrize("path", LAZY_PATH_SYSTEMS)
+def test_lazy_elimination_paths(path):
+    rows, expected = LAZY_PATH_SYSTEMS[path]
+    a = QMatrix.from_rows(rows)
+    if isinstance(expected[0], type):
+        # a consistent right-hand side, then one that misses row 2's value
+        x0 = (Q(1), Q(2), Q(3))
+        b = list(a.mul_vector(x0))
+        if expected[0] is InconsistentSystem:
+            b[2] += 1
+    else:
+        b = list(a.mul_vector(expected))
+        if path == "right-hand side lcm past 2^64":
+            assert lcm(*(v.denominator for v in b)) > 2**64
+            b = [format_rational(b[0]), b[1], b[2]]
+    assert _outcome(solve_exact, a, b) == _outcome(reference_solve, a, b) == expected
 
 
 def test_rows_are_stored_by_nonzero_entries():

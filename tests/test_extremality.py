@@ -163,6 +163,26 @@ def test_teich_vectors_equal_the_fraction_formulas(curve):
     assert all(type(v) is Q for v in (*rec.nonzero.values(), rec.total_delta or Q(0)))
 
 
+def test_teich_names_print_parameters_as_fractions():
+    """Curve names carry chi and L (or c_area) exactly as str(Fraction)
+    prints them: an integer bare, anything else as p/q in lowest terms."""
+    rng = random.Random(1812)
+    for g in range(2, 12):
+        for kind in ("abelian", "quadratic"):
+            p = double_zero_partition(kind, g)
+            for _ in range(25):
+                chi = Q(rng.randint(1, 10**6), rng.choice((1, 1, rng.randint(1, 10**4))))
+                if kind == "abelian":
+                    den = rng.choice((1, 360, rng.randint(1, 360)))
+                    L = Q(rng.randint(0, g * den), den)
+                    rec = teich_vector_abelian(g, p, TeichParamsAbelian(chi, L, g))
+                    assert rec.name == "Teich(chi=" + str(chi) + ",L=" + str(L) + ")"
+                else:
+                    c = Q(rng.randint(0, 10**6), rng.choice((1, 1, rng.randint(1, 10**4))))
+                    rec = teich_vector_quadratic(g, p, TeichParamsQuadratic(chi, c))
+                    assert rec.name == "TeichQ(chi=" + str(chi) + ",c=" + str(c) + ")"
+
+
 def test_psi_degree():
     p = double_zero_partition("abelian", 3)
     assert psi_degree(TeichParamsAbelian(Q(6), Q(1), 3), p, 2) == 1
