@@ -16,12 +16,18 @@ Both work over integer numerators with one denominator and build one
 Fraction per output entry.  A product packs each exponent vector into one
 int, a field of b_j + 1 bits per factor with 2^b_j > n_j; adding the offset
 2^b_j - 1 - n_j to a sum of two exponents sets the field's top (guard) bit
-exactly when the sum exceeds n_j.  A power of x = c + n, with c constant and
-n nilpotent, is sum_{j <= N} C(k, j) c^(k-j) n^j for N = n_1 + ... + n_k, so
-it takes at most N products.  A product with a coefficient whose numerator
-or denominator passes 2^``MAX_POWER_BITS`` (about 4,200 digits, within
-Python's 4,300-digit limit for printing an int) is refused with a
-ValueError, and so is a power whose constant coefficient c^k must pass it.
+exactly when the sum exceeds n_j.  A power of an affine-linear x = c +
+sum_j c_j h_j is read off the multinomial theorem, with no product: only the
+monomials h^a with a_j <= n_j that the result can hold are formed, so the
+work does not grow with k.  A power of any other x = c + n, n nilpotent, is
+sum_{j <= N} C(k, j) c^(k-j) n^j for N = n_1 + ... + n_k, at most N
+products.  A product with a coefficient whose numerator or denominator
+passes 2^``MAX_POWER_BITS`` (about 4,200 digits, within Python's 4,300-digit
+limit for printing an int) is refused with a ValueError; so is a power whose
+constant coefficient c^k must pass it (checked first), or, for an
+affine-linear base, one whose result has such a coefficient or, when c = 0,
+one that needs a power c_j^t past it.  Both are refused as soon as the
+coefficient is formed, before the larger powers are raised.
 
 :func:`pencil_family` packages the total space of a general pencil of
 curves on P^2 or P^1 x P^1 as such a lattice, with the fiber class, the
@@ -174,25 +180,80 @@ class ChowElement:
         ring = self.ring
         const = (0,) * len(ring.dims)
         c = self.terms.get(const, Q(0))
-        n = ChowElement(ring, {e: v for e, v in self.terms.items() if e != const}) if c else self
-        top = min(k, sum(ring.dims)) if n.terms else 0
-        # c^k is computed before any product could refuse it; with c = p/q,
+        # c^k is computed before any coefficient could refuse it; with c = p/q,
         # max(|p|, q)^k is at least 2^(k * (its bit length - 1))
         if k * (max(abs(c.numerator), c.denominator).bit_length() - 1) > MAX_POWER_BITS:
             raise _refused(f"power ^{k}")
-        out = ring.one()
-        if not c:
-            for _ in range(k):
-                out = out * self
-                if not out.terms:  # a zero product stays zero
-                    break
-            return out
-        nj, out = out, c ** k * out
-        for j in range(1, top + 1):
+        n = ChowElement(ring, {e: v for e, v in self.terms.items() if e != const})
+        if n.is_linear():
+            return self._affine_power(c, n.terms, k)
+        nj, out = ring.one(), c ** k * ring.one()
+        for j in range(1, min(k, sum(ring.dims)) + 1):
             nj = nj * n
             if not nj.terms:
                 break
-            out = out + comb(k, j) * c ** (k - j) * nj
+            if c or j == k:  # with c = 0 only n^k is left
+                out = out + comb(k, j) * c ** (k - j) * nj
+        return out
+
+    def _affine_power(self, c: Q, linear: dict, k: int) -> "ChowElement":
+        """(c + sum_j x_j h_j)^k by the multinomial theorem, x_j = p_j/q_j in
+        lowest terms: the term h^a, s = |a|, is C(k, s) c^(k-s) M(a)
+        prod(p_j^a_j) / prod(q_j^a_j), M(a) = s!/prod(a_j!) built factor by
+        factor as prod_j C(a_1 + ... + a_j, a_j).  Only a_j <= n_j and s <= k
+        are formed, only s = k when c = 0, and each term is checked as it is
+        formed.  A power x_j^t is checked as it is raised: in lowest terms,
+        C(k, t) c^(k-t) x_j^t = (a/b) x_j^t has a numerator of at least
+        |p_j|^t / b and a denominator of at least q_j^t / |a|; with c = 0,
+        x_j^t itself (the coefficient of h_j^t in x^t) must stay within."""
+        dims = self.ring.dims
+        lo = 0 if c else k
+        top = min(k, sum(min(dims[e.index(1)], k) for e in linear))
+        if top < lo:
+            return self.ring.zero()
+        # s -> C(k, s) c^(k-s) as its numerator and denominator
+        scale = {s: (comb(k, s) * c.numerator ** (k - s), c.denominator ** (k - s))
+                 for s in range(lo, top + 1)}
+        factors = []  # (factor index, [(p^t, q^t) for t = 0, 1, ...])
+        for e, x in linear.items():
+            j, p, q = e.index(1), x.numerator, x.denominator
+            pows = [(1, 1)]
+            for t in range(1, min(dims[j], top) + 1):
+                pt, qt = pows[-1][0] * p, pows[-1][1] * q
+                a, b = scale[t] if c else (1, 1)
+                if abs(pt) > _CAP * b or qt > _CAP * abs(a):
+                    raise _refused(f"power ^{k}")
+                pows.append((pt, qt))
+            factors.append((j, pows))
+        terms = {}
+
+        def add(exp, s, num, den):
+            a, b = scale[s]
+            num, den = a * num, b * den
+            q = Q(num) if den == 1 else Q(num, den)
+            if abs(q.numerator) > _CAP or q.denominator > _CAP:
+                raise _refused(f"power ^{k}")
+            terms[tuple(exp)] = q
+
+        partial = [([0] * len(dims), 0, 1, 1)]  # (exponent vector, s, numerator, denominator)
+        if not lo:
+            add(*partial[0])
+        for i, (j, pows) in enumerate(factors):
+            more = sum(len(later) - 1 for _, later in factors[i + 1:])  # the most left to add to s
+            grown = []
+            for exp, s, num, den in partial:
+                if s + more >= lo:
+                    grown.append((exp, s, num, den))  # t = 0: a monomial formed already
+                for t in range(max(1, lo - s - more), min(len(pows) - 1, top - s) + 1):
+                    e = exp.copy()
+                    e[j] = t
+                    pt, qt = pows[t]
+                    grown.append((e, s + t, num * comb(s + t, t) * pt, den * qt))
+                    if s + t >= lo:
+                        add(*grown[-1])
+            partial = grown
+        out = ChowElement.__new__(ChowElement)  # terms are normal already
+        out.ring, out.terms = self.ring, terms
         return out
 
     def is_linear(self) -> bool:
@@ -218,10 +279,9 @@ def linear_class(ring: MultiProjRing, coeffs: Sequence) -> ChowElement:
     """Divisor class sum(coeffs[j] * h_j) from a coefficient tuple."""
     if len(coeffs) != len(ring.dims):
         raise ValueError("coefficient count does not match factor count")
-    out = ring.zero()
-    for j, c in enumerate(coeffs):
-        out = out + Q(c) * ring.generator(j)
-    return out
+    width = len(coeffs)
+    return ChowElement(ring, {tuple(int(i == j) for i in range(width)): Q(c)
+                              for j, c in enumerate(coeffs)})
 
 
 def _as_linear(ring: MultiProjRing, cls) -> ChowElement:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as Q
 from math import gcd
 
@@ -73,14 +74,20 @@ def test_integrate_matches_sympy_expansion():
         dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
         ring = MultiProjRing(dims)
         h = sympy.symbols(f"h0:{len(dims)}")
+        top = sympy.Mul(*(hj**n for hj, n in zip(h, dims)))
         product, poly = ring.one(), sympy.Integer(1)
         for _ in range(sum(dims)):
             coeffs = [rng.randint(-5, 5) for _ in dims]
             product = product * linear_class(ring, coeffs)
             poly *= sum(c * hj for c, hj in zip(coeffs, h))
-        top = sympy.Poly(sympy.expand(poly), *h).coeff_monomial(
-            sympy.Mul(*(hj**n for hj, n in zip(h, dims))))
-        assert chow_integrate(product) == Q(int(top))
+        expected = sympy.Poly(sympy.expand(poly), *h).coeff_monomial(top)
+        assert chow_integrate(product) == Q(int(expected))
+        # a power of one form, (sum c_j h_j)^N, takes the multinomial route
+        coeffs = [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in dims]
+        power = sympy.expand(sum(sympy.Rational(c.numerator, c.denominator) * hj
+                                 for c, hj in zip(coeffs, h)) ** sum(dims))
+        expected = sympy.Poly(power, *h).coeff_monomial(top)
+        assert chow_integrate(linear_class(ring, coeffs) ** sum(dims)) == Q(str(expected))
 
 
 @given(small_elements(RING), small_elements(RING), small_elements(RING))
@@ -271,12 +278,32 @@ def test_product_cancels_to_zero_terms():
     assert (a * 0).terms == {} and (0 * (a + b)).terms == {}
 
 
-@settings(max_examples=200)
-@given(ring_and_elements(count=1), st.integers(0, 6))
-def test_power_matches_repeated_fraction_products(case, k):
-    """The binomial expansion (constant term) and the product sequence (none)
-    both equal k term-by-term products."""
-    ring, (x,) = case
+@st.composite
+def ring_and_power_base(draw):
+    """An element with a term of degree >= 2 (where the ring has one), or an
+    affine-linear one c + sum c_j h_j with or without its constant term c,
+    and an exponent k up to max(6, N + 2)."""
+    ring, (x,) = draw(ring_and_elements(count=1))
+    width, top = len(ring.dims), sum(ring.dims)
+    shape = draw(st.sampled_from(["any", "affine", "linear"]))
+    if shape == "any" and top >= 2:
+        exps = st.tuples(*(st.integers(0, n) for n in ring.dims)).filter(lambda e: sum(e) >= 2)
+        x = x + draw(st.sampled_from([Q(1), Q(-1, 2), Q(3)])) * _mono(ring, draw(exps))
+    elif shape != "any":
+        units = st.sampled_from([tuple(int(i == j) for i in range(width)) for j in range(width)])
+        terms = draw(st.dictionaries(units, COEFFS, min_size=1, max_size=width))
+        if shape == "affine":
+            terms[(0,) * width] = draw(COEFFS)
+        x = ChowElement(ring, terms)
+    return ring, x, draw(st.integers(0, max(6, top + 2)))
+
+
+@settings(max_examples=400)
+@given(ring_and_power_base())
+def test_power_matches_repeated_fraction_products(case):
+    """The multinomial terms (affine-linear base) and the binomial sum over
+    products (any other base) both equal k term-by-term products."""
+    ring, x, k = case
     ref = ring.one().terms
     for _ in range(k):
         ref = _reference_product(ChowElement(ring, ref), x)
@@ -292,19 +319,75 @@ def test_binomial_power_of_huge_exponent():
     assert (Q(-1, 2) + 3 * a) ** 5 == Q(-1, 32) + Q(15, 16) * a
     assert (1 - a) ** 10**12 == 1 - 10**12 * a
     assert (a ** 10**9).terms == {}
+    # the denominator 2^5000 is raised only to the powers the result keeps
+    x = 1 + Q(1, 2**5000) * a
+    start = time.process_time()
+    assert x ** 10**6 == 1 + Q(10**6, 2**5000) * a
+    assert time.process_time() - start < 0.1
+
+
+def test_affine_power_makes_no_products(monkeypatch):
+    """A power of c + sum c_j h_j is read off the multinomial theorem, with
+    or without c; any other base still multiplies."""
+    ring = MultiProjRing((2, 3, 1))
+    a, b, c = ring.generators()
+    bases = [Q(1, 3) + 2 * a - b + Q(5, 7) * c, 3 * a + Q(-1, 2) * c, 1 - b, ring.zero()]
+    mul, calls = ChowElement.__mul__, []
+
+    def spy(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(ChowElement, "__mul__", spy)
+    monkeypatch.setattr(ChowElement, "__rmul__", spy)
+    for x in bases:
+        for k in (0, 1, 3, 6, 7, 10**3):
+            x ** k
+    assert calls == []
+    (1 + a * b) ** 2
+    assert calls
 
 
 def test_power_size_cap():
-    """A power whose coefficients could pass MAX_POWER_BITS is refused before
-    any product; the constant term bounds the size from below."""
+    """A power is refused up front when its constant term c^k must pass
+    MAX_POWER_BITS, and otherwise when a coefficient of its result does.  An
+    affine-linear base forms no other power of its linear part, so
+    (2^-4000 + 2^8000 b)^3 is answered (12,002 bits) although b^2 alone
+    would carry 2^16000, while (2^7500 b)^2 = 2^15000 b^2 is refused.  With
+    no constant term, each x_j^t (the coefficient of h_j^t in x^t) must stay
+    within the cap too: (2^8000 a + 2^-8000 b)^4 on P^2 x P^2 is 6 a^2 b^2,
+    but a^2 alone carries 2^16000.  A refusal comes at the first coefficient
+    past the cap, before the larger powers of the linear part are raised:
+    the last five bases took seconds, or gigabytes, when every term was
+    formed first."""
     ring = MultiProjRing((1,))
     (a,) = ring.generators()
     two = 2 * ring.one()
     assert chow_integrate(two ** MAX_POWER_BITS * a) == 2 ** MAX_POWER_BITS
+    (b,) = MultiProjRing((2,)).generators()
+    cube = (Q(1, 2**4000) + 2**8000 * b) ** 3
+    assert cube.terms == {(0,): Q(1, 2**12000), (1,): Q(3), (2,): Q(3 * 2**12000)}
+    assert max(max(abs(q.numerator), q.denominator).bit_length()
+               for q in cube.terms.values()) == 12_002
+    u, v = MultiProjRing((1, 1)).generators()
+    assert ((1 + 2**7000 * u) * (1 + 2**7000 * v)).terms[(1, 1)] == 2**14000
+    x, y = MultiProjRing((2, 2)).generators()
+    (h,) = MultiProjRing((2000,)).generators()
+    g = MultiProjRing((40, 40, 40)).generators()
+    f = MultiProjRing((4, 3, 3, 4)).generators()
+    q = Q(3**180, 2**285)  # about 1 in size, 285 bits in its denominator
+    start = time.process_time()
     for base, k in ((two, MAX_POWER_BITS + 1), (two, 10**9), (Q(1, 2) + a, 10**9),
-                    (3 + a, MAX_POWER_BITS)):
-        with pytest.raises(ValueError, match="refused"):
+                    (3 + a, MAX_POWER_BITS), (2**7500 * b, 2), (1 + b, 2**MAX_POWER_BITS),
+                    (1 + 2**7000 * u + 2**7000 * v, 2),  # uv: 2^14001
+                    (2**8000 * x + Q(1, 2**8000) * y, 4),
+                    (8**4666 * h, 2000), (1 + 8**4666 * h, 2000),
+                    (1 + 8**4666 * (g[0] + g[1] + g[2]), 120),
+                    (Q(-1, 269) + Q(1, 2**7680) * f[0] - f[1] + f[2] + Q(-7, 982) * f[3], 17),
+                    (1 + q * g[0] + q * g[1] + q * g[2], 120)):
+        with pytest.raises(ValueError, match=rf"power \^{k} refused"):
             base ** k
+    assert time.process_time() - start < 0.5
 
 
 BASE_LATTICES = {
