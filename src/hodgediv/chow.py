@@ -21,13 +21,15 @@ sum_j c_j h_j is read off the multinomial theorem, with no product: only the
 monomials h^a with a_j <= n_j that the result can hold are formed, so the
 work does not grow with k.  A power of any other x = c + n, n nilpotent, is
 sum_{j <= N} C(k, j) c^(k-j) n^j for N = n_1 + ... + n_k, at most N
-products.  A product with a coefficient whose numerator or denominator
-passes 2^``MAX_POWER_BITS`` (about 4,200 digits, within Python's 4,300-digit
-limit for printing an int) is refused with a ValueError; so is a power whose
-constant coefficient c^k must pass it (checked first), or, for an
-affine-linear base, one whose result has such a coefficient or, when c = 0,
-one that needs a power c_j^t past it.  Both are refused as soon as the
-coefficient is formed, before the larger powers are raised.
+products.  A scalar (an int or a Fraction) times an element scales each
+coefficient and forms no product of terms.  A product with a coefficient
+whose numerator or denominator passes 2^``MAX_POWER_BITS`` (about 4,200
+digits, within Python's 4,300-digit limit for printing an int) is refused
+with a ValueError; so is a power whose constant coefficient c^k must pass it
+(checked first), or, for an affine-linear base, one whose result has such a
+coefficient or, when c = 0, one that needs a power c_j^t past it.  Both are
+refused as soon as the coefficient is formed, before the larger powers are
+raised.
 
 :func:`pencil_family` packages the total space of a general pencil of
 curves on P^2 or P^1 x P^1 as such a lattice, with the fiber class, the
@@ -144,6 +146,14 @@ class ChowElement:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "ChowElement":
+        if not isinstance(other, ChowElement):  # a scalar scales each coefficient
+            c = Q(other)
+            terms = {e: v * c for e, v in self.terms.items()} if c else {}
+            if any(abs(q.numerator) > _CAP or q.denominator > _CAP for q in terms.values()):
+                raise _refused("product")
+            out = ChowElement.__new__(ChowElement)  # terms are normal already
+            out.ring, out.terms = self.ring, terms
+            return out
         other = self._coerce(other)
         ring = self.ring
         fields, offset, guard = ring._packing

@@ -16,7 +16,7 @@ import re
 import string
 from math import log10
 
-from .chow import _CAP, MAX_POWER_BITS, ChowElement, MultiProjRing
+from .chow import _CAP, MAX_POWER_BITS, ChowElement, MultiProjRing, _refused
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*^()]))")
 
@@ -67,6 +67,10 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _Parser:
+    """A recursive-descent parser.  An integer literal stays an int until it
+    meets an element, which it then scales (no Chow product), so ``3a`` costs
+    one scaling; the result of the whole expression is always an element."""
+
     def __init__(self, tokens: list[tuple[str, str]], env: dict[str, ChowElement],
                  ring: MultiProjRing):
         self.tokens = tokens
@@ -85,7 +89,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def nested(self, parse) -> ChowElement:
+    def nested(self, parse) -> ChowElement | int:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExpressionError(
@@ -98,9 +102,14 @@ class _Parser:
         value = self.expr()
         if self.peek() is not None:
             raise ExpressionError(f"trailing tokens starting at {self.peek()[1]!r}")
-        return value
+        return self.element(value)
 
-    def expr(self) -> ChowElement:
+    def element(self, value: ChowElement | int) -> ChowElement:
+        """``value`` as an element.  An int, a sum of literals, is not checked
+        against the cap, as a sum of elements is not."""
+        return self.ring.zero() + value if isinstance(value, int) else value
+
+    def expr(self) -> ChowElement | int:
         value = self.term()
         while self.peek() in (("op", "+"), ("op", "-")):
             _, op = self.take()
@@ -108,7 +117,7 @@ class _Parser:
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self) -> ChowElement:
+    def term(self) -> ChowElement | int:
         value = self.power()
         while True:
             tok = self.peek()
@@ -118,21 +127,23 @@ class _Parser:
                 return value
             # "*" or juxtaposition, e.g. "2b" or "(a+b)(a+3b)"
             value = value * self.power()
+            if isinstance(value, int) and abs(value) > _CAP:  # a product of two literals
+                raise _refused("product")
 
-    def power(self) -> ChowElement:
+    def power(self) -> ChowElement | int:
         base = self.atom()
         if self.peek() == ("op", "^"):
             self.take()
             kind, text = self.take()
             if kind != "int":
                 raise ExpressionError("exponent must be an integer literal")
-            return base ** _literal(text)
+            return self.element(base) ** _literal(text)
         return base
 
-    def atom(self) -> ChowElement:
+    def atom(self) -> ChowElement | int:
         kind, text = self.take()
         if kind == "int":
-            return _literal(text) * self.ring.one()
+            return _literal(text)
         if kind == "name":
             if text not in self.env:
                 raise ExpressionError(f"unknown generator {text!r}")

@@ -5,6 +5,10 @@ deterministic JSON report.  Exit codes: 0 when every checked quantity
 matches, 1 on any mismatch, 2 on usage or input errors and on a catalog
 file that cannot be written, read or parsed.  All rationals are
 rendered exactly as ``p/q``; nothing is ever printed in decimal.
+
+Only ``picard`` and ``exactq``, which the package loads anyway, are
+imported here; each command imports the other modules it runs in its body,
+so that a one-shot process compiles and executes no module it does not use.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
 
 import click
 
-from . import catalog as catalog_mod
-from . import chow, chowexpr, extremality, picard, porteous, testcurves
+from . import picard
 from .exactq import format_rational, parse_rational
 
 
@@ -95,12 +99,33 @@ def main():
     projectivized bundles of differentials."""
 
 
+_GENUS2 = "genus2-relation"  # the one verify example that needs only picard
+
+
+class _Examples(click.Choice):
+    """``verify``'s choices: genus2-relation and the ids of
+    ``porteous.PENCIL_EXAMPLES``.  Those are read on first use (help, a
+    missing value, any other value), so genus2-relation imports no porteous."""
+
+    def __init__(self):
+        self.case_sensitive = True
+
+    @cached_property
+    def choices(self):
+        from . import porteous
+        return tuple(sorted([*porteous.PENCIL_EXAMPLES, _GENUS2]))
+
+    def convert(self, value, param, ctx):
+        return value if value == _GENUS2 else super().convert(value, param, ctx)
+
+
 @main.command("derive")
 @_genus_option
 @click.option("--json", "as_json", is_flag=True)
 def cmd_derive(genus: int, as_json: bool):
     """Re-derive the Weierstrass-zero divisor class from test curves and
     compare it to the closed form."""
+    from . import testcurves
     derived = testcurves.derive_theorem_class(genus)
     closed = picard.class_D(genus)
     report = Report("derive", {"genus": genus})
@@ -112,17 +137,18 @@ def cmd_derive(genus: int, as_json: bool):
 
 @main.command("verify")
 @click.option("--example", "example_id", required=True,
-              type=click.Choice(sorted([*porteous.PENCIL_EXAMPLES, "genus2-relation"])))
+              type=_Examples())
 @click.option("--json", "as_json", is_flag=True)
 def cmd_verify(example_id: str, as_json: bool):
     """Recompute every quantity of a worked example and compare."""
     report = Report("verify", {"example": example_id})
-    if example_id == "genus2-relation":
+    if example_id == _GENUS2:
         residual = picard.substitute_relation(
             picard.class_D(2) - picard.class_stratum_abelian(2),
             "lambda", picard.genus2_lambda_relation())
         report.add("residual after lambda elimination", "0", str(residual))
     else:
+        from . import porteous
         for quantity, paper, computed in porteous.pencil_example(example_id):
             report.add(quantity, paper, computed)
     _emit(report.payload(), report.to_table(), as_json, report.verdict == "match")
@@ -137,6 +163,7 @@ def cmd_catalog():
 @_genus_option
 @click.option("--json", "as_json", is_flag=True)
 def cmd_catalog_list(genus: int, as_json: bool):
+    from . import catalog as catalog_mod
     records = catalog_mod.build_catalog(genus)
     if as_json:
         click.echo(catalog_mod.dumps(records))
@@ -150,6 +177,7 @@ def cmd_catalog_list(genus: int, as_json: bool):
 @cmd_catalog.command("write")
 @click.option("--genus", "genera", type=click.IntRange(min=2), multiple=True, required=True)
 def cmd_catalog_write(genera):
+    from . import catalog as catalog_mod
     try:
         path = catalog_mod.write_catalog(list(genera))
     except OSError as exc:
@@ -162,6 +190,7 @@ def cmd_catalog_write(genera):
 def cmd_catalog_check(as_json: bool):
     """Re-pair every curve of the catalog file with the classes named in its
     known pairings and compare with the recorded values."""
+    from . import catalog as catalog_mod
     path = catalog_mod.catalog_path()
     classes, curves = {}, []
     try:
@@ -212,6 +241,7 @@ def cmd_chow():
 @click.option("--json", "as_json", is_flag=True)
 def cmd_chow_eval(expression: str, dims: str, as_json: bool):
     """Integrate a product expression; generators are a, b, c, ... per factor."""
+    from . import chow, chowexpr
     dim_list = _parse(dims, "--dims", lambda text: tuple(int(d) for d in text.split(",")),
                       "comma-separated positive integers")
     value = chow.chow_integrate(chowexpr.evaluate(expression, chow.MultiProjRing(dim_list)))
@@ -234,6 +264,7 @@ def cmd_teich():
 @click.option("--json", "as_json", is_flag=True)
 def cmd_teich_pair(kind, genus, chi, lyapunov, carea, as_json):
     """Print the intersection vector and the double-zero stratum pairing."""
+    from . import extremality
     given = {k: v for k, v in (("lyapunov", lyapunov), ("carea", carea)) if v is not None}
     name = "lyapunov" if kind == "abelian" else "carea"
     if name not in given:
@@ -278,6 +309,7 @@ def _inputs(kind: str, genus: int, values: dict[str, Q]) -> dict:
 
 def _threshold(kind, genus, a: Q, b: Q, c0: Q, c: Q, cmax: Q) -> Q:
     """Threshold d for a*lambda + b*eta + the boundary part of ``kind``."""
+    from . import extremality
     if kind == "abelian":
         return extremality.threshold_abelian(a, b, c0, genus)
     return extremality.threshold_quadratic(a, b, c, genus, cmax)
@@ -313,6 +345,7 @@ def cmd_threshold(kind, genus, a, b, c0, c, cmax, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_certify(kind, genus, a, b, c0, c, cmax, d_value, as_json):
     """Run the negativity certificate on a parameter grid of curves."""
+    from . import extremality
     values = _rationals(a=a, b=b, c0=c0, c=c, cmax=cmax)
     aq, bq, c0q, cq, cmax_q = values.values()
     if kind == "abelian":

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from hodgediv import catalog
+from hodgediv import catalog, porteous
 from hodgediv.cli import main
 
 
@@ -67,6 +70,26 @@ def test_verify_genus2_relation(runner):
 def test_verify_unknown_example_exits_2(runner):
     result = runner.invoke(main, ["verify", "--example", "nope"])
     assert result.exit_code == 2
+
+
+def test_verify_help_lists_every_example(runner):
+    result = runner.invoke(main, ["verify", "--help"])
+    assert result.exit_code == 0
+    assert "--example [genus2-relation|genus4-quadric|quartic-pencil]" in result.stdout
+
+
+def test_verify_unknown_example_names_the_choices(runner):
+    result = runner.invoke(main, ["verify", "--example", "nope"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == (
+        "Error: Invalid value for '--example': 'nope' is not one of "
+        "'genus2-relation', 'genus4-quadric', 'quartic-pencil'.")
+
+
+def test_verify_choices_are_the_pencil_examples_and_genus2():
+    """A new entry of PENCIL_EXAMPLES is a new choice with no second edit."""
+    example = next(p for p in main.commands["verify"].params if p.name == "example_id")
+    assert list(example.type.choices) == sorted([*porteous.PENCIL_EXAMPLES, "genus2-relation"])
 
 
 def test_chow_eval(runner):
@@ -141,7 +164,9 @@ def test_chow_eval_unknown_option_exits_2(runner, args):
     "9" * 5000 + "*a",
     f"{2 ** 14000 + 1}a",
     "3(2^7000)(2^7000)a",
-], ids=["product-of-powers", "long-literal", "literal-past-the-cap", "juxtaposed-product"])
+    f"{2 ** 8000}*{2 ** 8000}+a",
+], ids=["product-of-powers", "long-literal", "literal-past-the-cap", "juxtaposed-product",
+        "product-of-literals"])
 def test_chow_eval_coefficient_past_the_cap_exits_2(runner, expression):
     assert "14,000-bit cap" in _one_error_line(
         runner.invoke(main, ["chow", "eval", expression, "--dims", "1"]))
@@ -152,6 +177,15 @@ def test_chow_eval_coefficient_at_the_cap(runner):
         result = runner.invoke(main, ["chow", "eval", expression, "--dims", "1"])
         assert result.exit_code == 0
         assert result.output.strip() == str(2 ** 14000 if "2" in expression else 7)
+
+
+def test_chow_eval_sums_of_literals_are_not_capped(runner):
+    """Literals add as elements do, unchecked; a power of their sum is refused
+    as a power, not as a product."""
+    result = runner.invoke(main, ["chow", "eval", f"{2 ** 14000}+{2 ** 14000}+a", "--dims", "1"])
+    assert (result.exit_code, result.stdout) == (0, "1\n")
+    assert "power ^1 refused" in _one_error_line(
+        runner.invoke(main, ["chow", "eval", f"({2 ** 14000}+{2 ** 14000})^1", "--dims", "1"]))
 
 
 # Tokens of chow expressions: generators, small integers, operators, small
@@ -578,3 +612,34 @@ def test_catalog_check_fuzz_keeps_the_exit_code_contract(tmp_path_factory, text)
         assert result.stdout.splitlines()[-1] == "verdict: mismatch"
     elif result.exit_code == 2:
         _one_error_line(result)
+
+
+_BASE = {"hodgediv", "hodgediv.exactq", "hodgediv.picard"}
+
+
+@pytest.mark.parametrize("args, modules", [
+    (["derive", "--genus", "4"], {"hodgediv.testcurves"}),
+    (["verify", "--example", "genus2-relation"], set()),
+    (["chow", "eval", "(a+b)^2*(a+3b)*2b", "--dims", "1,3"], {"hodgediv.chow", "hodgediv.chowexpr"}),
+    (["teich", "pair", "--kind", "abelian", "--genus", "3", "--chi", "6", "--lyapunov", "1"],
+     {"hodgediv.extremality"}),
+    (["threshold", "--kind", "abelian", "--genus", "3", "-a", "1", "-b", "1"], {"hodgediv.extremality"}),
+    (["certify", "--kind", "quadratic", "--genus", "3", "-a", "1", "-b", "2", "--c", "1/3"],
+     {"hodgediv.extremality"}),
+    (["catalog", "list", "--genus", "3"], {"hodgediv.catalog", "hodgediv.testcurves"}),
+    (["catalog", "write", "--genus", "3"], {"hodgediv.catalog", "hodgediv.testcurves"}),
+], ids=["derive", "verify", "chow-eval", "teich-pair", "threshold", "certify", "catalog-list",
+        "catalog-write"])
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, args, modules):
+    """A one-shot process loads picard and exactq, with the package, and
+    only the other modules its command runs."""
+    env = {**os.environ, "HODGEDIV_CATALOG": str(tmp_path / "catalog.json"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-X", "importtime", "-m", "hodgediv.cli", *args],
+                           capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
+    # "import time:       self [us] |  cumulative | imported package"
+    loaded = {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {name for name in loaded if name.split(".")[0] == "hodgediv"} == _BASE | modules
