@@ -13,10 +13,11 @@ The file holds exactly ``json.dumps(records, indent=2, sort_keys=True)``
 plus a newline.  :func:`dumps` produces those bytes for the record shapes
 :func:`build_catalog` emits, and is shared by :func:`write_catalog` and
 ``catalog list --json``.  ``json.dumps`` with an indent never reaches the
-C encoder, so :func:`dumps` joins the record frame by hand and encodes each
-flat symbol -> "p/q" map, which carries nearly every byte, with one
-encoder whose item separator is the newline and indentation of the map's
-depth: without an indent it runs in C.
+C encoder and sorts every map again, yet all maps of one basis share one
+key set.  So :func:`dumps` lays out each key set once per call: the keys
+in sorted order, the text between their values, and an ``itemgetter``
+that picks the values in that order.  A record or symbol -> "p/q" map is
+then its encoded values slotted into a copy of that text and joined once.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import os
 from fractions import Fraction as Q
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from . import picard, testcurves
@@ -132,46 +134,55 @@ def build_catalog(g: int) -> list[dict]:
     return records
 
 
-# A record's maps sit at depth 2 of the file, so their items are indented by 6.
-_MAP_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-
-
-def _encode_value(v) -> str:
-    if type(v) is str:
-        return encode_basestring_ascii(v)
-    if type(v) is int:
-        return int.__repr__(v)
-    if v is None:
-        return "null"
-    if type(v) is dict and all(type(x) is str for x in v.values()):
-        if not v:
-            return "{}"
-        return "{\n      " + _MAP_ENCODER.encode(v)[1:-1] + "\n    }"
-    raise TypeError(f"catalog value of type {type(v).__name__} is not a str, int, None "
-                    "or flat str -> str map")
-
-
-def _encode_record(rec: dict) -> str:
-    if type(rec) is not dict:
-        raise TypeError(f"catalog record of type {type(rec).__name__} is not a dict")
-    if not rec:
-        return "{}"
-    return "{\n    " + ",\n    ".join(
-        f"{encode_basestring_ascii(k)}: {_encode_value(rec[k])}" for k in sorted(rec)) + "\n  }"
-
-
 def dumps(records: list[dict]) -> str:
     """``json.dumps(records, indent=2, sort_keys=True)``, byte for byte.
 
     ``records`` is a list of dicts whose values are ``str``, ``int``,
-    ``None`` or a flat ``dict[str, str]``; any other shape raises
-    ``TypeError`` rather than risk different bytes.
+    ``None`` or a flat ``dict[str, str]``; any other shape, or a key that
+    is not a ``str``, raises ``TypeError`` rather than risk different bytes.
     """
     if type(records) is not list:
         raise TypeError(f"catalog of type {type(records).__name__} is not a list")
+    frames: dict[tuple, tuple] = {}  # (indent, keys in insertion order) -> (getter, text)
+
+    def encode_dict(d: dict, indent: str, encode) -> str:
+        if not d:
+            return "{}"
+        keys = tuple(d)
+        frame = frames.get((indent, keys))
+        if frame is None:
+            order = sorted(keys)
+            heads = [f",\n{indent}{encode_basestring_ascii(k)}: " for k in order]
+            heads[0] = "{" + heads[0][1:]
+            text = [""] * (2 * len(order) + 1)
+            text[0::2] = heads + [f"\n{indent[2:]}}}"]
+            getter = itemgetter(*order) if len(order) > 1 else lambda d, k=order[0]: (d[k],)
+            frame = frames[indent, keys] = getter, text
+        getter, text = frame
+        out = text.copy()
+        out[1::2] = map(encode, getter(d))
+        return "".join(out)
+
+    def encode_value(v) -> str:
+        if type(v) is str:
+            return encode_basestring_ascii(v)
+        if type(v) is int:
+            return int.__repr__(v)
+        if v is None:
+            return "null"
+        if type(v) is dict:  # a record's maps sit at depth 2 of the file
+            return encode_dict(v, "      ", encode_basestring_ascii)
+        raise TypeError(f"catalog value of type {type(v).__name__} is not a str, int, None "
+                        "or flat str -> str map")
+
+    def encode_record(rec) -> str:
+        if type(rec) is not dict:
+            raise TypeError(f"catalog record of type {type(rec).__name__} is not a dict")
+        return encode_dict(rec, "    ", encode_value)
+
     if not records:
         return "[]"
-    return "[\n  " + ",\n  ".join(map(_encode_record, records)) + "\n]"
+    return "[\n  " + ",\n  ".join(map(encode_record, records)) + "\n]"
 
 
 def write_catalog(genera: list[int], path: Path | None = None) -> Path:

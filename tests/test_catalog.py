@@ -7,7 +7,10 @@ from hypothesis import given, strategies as st
 
 from hodgediv import catalog
 from hodgediv.picard import (
+    MAX_GENUS,
+    MBAR_G1,
     DivisorClass,
+    basis,
     class_D,
     class_W,
     class_stratum_abelian,
@@ -154,7 +157,52 @@ def test_dumps_matches_json_dumps_on_record_shapes(records):
     assert catalog.dumps(records) == _reference_dumps(records)
 
 
-@pytest.mark.parametrize("value", [[1], 1.5, {"eta": {"lambda": "1"}}, {"eta": 1}, True])
+@st.composite
+def _records_sharing_layouts(draw):
+    """Maps and records over one key set in several insertion orders and
+    with different values, beside one-key and empty maps: one dumps call
+    lays out each key set once and reuses it."""
+    keys = draw(st.lists(st.one_of(st.sampled_from(['"', "\\", "\ud800", "\U0001f600", 'a"\\b']),
+                                   _tricky_text), max_size=6, unique=True))
+
+    def reordered(values):
+        return dict(zip(draw(st.permutations(keys)),
+                        draw(st.lists(values, min_size=len(keys), max_size=len(keys)))))
+
+    maps = [reordered(_tricky_text) for _ in range(draw(st.integers(1, 3)))]
+    maps += [{k: draw(_tricky_text)} for k in keys[:2]] + [{}]
+    records = [{"coefficients": m} for m in maps]
+    records += [reordered(st.one_of(_tricky_text, _ints, st.none(), st.sampled_from(maps)))
+                for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.permutations(records))
+
+
+@given(_records_sharing_layouts())
+def test_dumps_matches_json_dumps_when_records_share_key_sets(records):
+    assert catalog.dumps(records) == _reference_dumps(records)
+
+
+def test_dumps_matches_json_dumps_on_the_largest_basis():
+    symbols = basis(MBAR_G1, MAX_GENUS).symbols
+    coefficients = dict.fromkeys(symbols, "0")
+    coefficients.update({symbols[0]: "-3/7", symbols[5000]: "12", symbols[-1]: "1/10000"})
+    vector = {s: coefficients[s] for s in reversed(symbols)}
+    vector[symbols[1]] = "-1"
+    records = [{"record": "class", "name": "X", "space": MBAR_G1, "genus": MAX_GENUS,
+                "coefficients": coefficients, "note": ""},
+               {"record": "curve", "name": "Y", "space": MBAR_G1, "genus": MAX_GENUS,
+                "vector": vector, "known_pairings": {}, "note": ""}]
+    assert catalog.dumps(records) == _reference_dumps(records)
+
+
+@pytest.mark.parametrize("value", [[1], 1.5, {"eta": {"lambda": "1"}}, {"eta": 1}, True,
+                                   {1: "1"}, {None: "0"}])
 def test_dumps_rejects_other_value_shapes(value):
     with pytest.raises(TypeError):
         catalog.dumps([{"record": "class", "coefficients": value}])
+
+
+@pytest.mark.parametrize("record", [{1: "1"}, {None: "0"}, {"record": "class", 2: None}])
+def test_dumps_rejects_a_record_key_that_is_not_str(record):
+    with pytest.raises(TypeError):
+        catalog.dumps([record])
