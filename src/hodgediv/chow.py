@@ -6,7 +6,8 @@ Two small exact substrates:
 * :class:`ChowElement` -- a sparse polynomial in the hyperplane classes of
   a product P^{n_1} x ... x P^{n_k}, truncated eagerly at exponents above
   the factor dimensions; the degree map reads off the coefficient of the
-  top monomial.
+  top monomial.  The constructor normalizes terms given from outside, once;
+  every result of the arithmetic is built from terms in normal form.
 * :class:`BlowUpLattice` -- the intersection lattice of a surface blown up
   at r general points: named base generators with a symmetric integer
   intersection matrix, plus exceptional classes E_1..E_r with E_i^2 = -1
@@ -81,16 +82,16 @@ class MultiProjRing:
     def generator(self, j: int) -> "ChowElement":
         """Hyperplane class pulled back from the j-th factor (0-based)."""
         exp = tuple(1 if i == j else 0 for i in range(len(self.dims)))
-        return ChowElement(self, {exp: Q(1)})
+        return ChowElement._of(self, {exp: Q(1)})
 
     def generators(self) -> list["ChowElement"]:
         return [self.generator(j) for j in range(len(self.dims))]
 
     def one(self) -> "ChowElement":
-        return ChowElement(self, {(0,) * len(self.dims): Q(1)})
+        return ChowElement._of(self, {(0,) * len(self.dims): Q(1)})
 
     def zero(self) -> "ChowElement":
-        return ChowElement(self, {})
+        return ChowElement._of(self, {})
 
 
 class ChowElement:
@@ -102,6 +103,14 @@ class ChowElement:
             e: Q(c) for e, c in terms.items()
             if c != 0 and all(ei <= ni for ei, ni in zip(e, ring.dims))
         }
+
+    @staticmethod
+    def _of(ring: MultiProjRing, terms: dict[tuple[int, ...], Q]) -> "ChowElement":
+        """An element of terms in normal form: nonzero Fractions, each
+        exponent within its dimension."""
+        out = ChowElement.__new__(ChowElement)
+        out.ring, out.terms = ring, terms
+        return out
 
     @cached_property
     def _scaled(self) -> tuple[list[tuple[int, int]], int]:
@@ -117,7 +126,8 @@ class ChowElement:
             if other.ring != self.ring:
                 raise ValueError("elements live in different rings")
             return other
-        return ChowElement(self.ring, {(0,) * len(self.ring.dims): Q(other)})
+        c = Q(other)
+        return ChowElement._of(self.ring, {(0,) * len(self.ring.dims): c} if c else {})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChowElement):
@@ -131,13 +141,14 @@ class ChowElement:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Q(0)) + c
-        return ChowElement(self.ring, out)
+            if s := out.pop(e, 0) + c:
+                out[e] = s
+        return ChowElement._of(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ChowElement":
-        return ChowElement(self.ring, {e: -c for e, c in self.terms.items()})
+        return ChowElement._of(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "ChowElement":
         return self + (-self._coerce(other))
@@ -151,9 +162,7 @@ class ChowElement:
             terms = {e: v * c for e, v in self.terms.items()} if c else {}
             if any(abs(q.numerator) > _CAP or q.denominator > _CAP for q in terms.values()):
                 raise _refused("product")
-            out = ChowElement.__new__(ChowElement)  # terms are normal already
-            out.ring, out.terms = self.ring, terms
-            return out
+            return ChowElement._of(self.ring, terms)
         other = self._coerce(other)
         ring = self.ring
         fields, offset, guard = ring._packing
@@ -178,8 +187,8 @@ class ChowElement:
         if (den > _CAP or any(abs(n) > _CAP for _, n in nums)) and any(
                 abs(q.numerator) > _CAP or q.denominator > _CAP for q in terms.values()):
             raise _refused("product")
-        out = ChowElement.__new__(ChowElement)  # terms are normal already
-        out.ring, out.terms, out._scaled = ring, terms, (nums, den)
+        out = ChowElement._of(ring, terms)
+        out._scaled = nums, den
         return out
 
     __rmul__ = __mul__
@@ -194,7 +203,7 @@ class ChowElement:
         # max(|p|, q)^k is at least 2^(k * (its bit length - 1))
         if k * (max(abs(c.numerator), c.denominator).bit_length() - 1) > MAX_POWER_BITS:
             raise _refused(f"power ^{k}")
-        n = ChowElement(ring, {e: v for e, v in self.terms.items() if e != const})
+        n = ChowElement._of(ring, {e: v for e, v in self.terms.items() if e != const})
         if n.is_linear():
             return self._affine_power(c, n.terms, k)
         nj, out = ring.one(), c ** k * ring.one()
@@ -262,22 +271,10 @@ class ChowElement:
                     if s + t >= lo:
                         add(*grown[-1])
             partial = grown
-        out = ChowElement.__new__(ChowElement)  # terms are normal already
-        out.ring, out.terms = self.ring, terms
-        return out
+        return ChowElement._of(self.ring, terms)
 
     def is_linear(self) -> bool:
         return all(sum(e) == 1 for e in self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms):
-            mono = "*".join(f"h{j}^{k}" if k > 1 else f"h{j}"
-                            for j, k in enumerate(e) if k)
-            parts.append(f"({self.terms[e]})" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
 
 
 def chow_integrate(a: ChowElement) -> Q:
@@ -294,23 +291,13 @@ def linear_class(ring: MultiProjRing, coeffs: Sequence) -> ChowElement:
                               for j, c in enumerate(coeffs)})
 
 
-def _as_linear(ring: MultiProjRing, cls) -> ChowElement:
-    if isinstance(cls, ChowElement):
-        if cls.ring != ring:
-            raise ValueError("class lives in a different ring")
-        if not cls.is_linear():
-            raise ValueError("hypersurface class must be linear")
-        return cls
-    return linear_class(ring, cls)
-
-
 def adjunction_canonical(ring: MultiProjRing, hypersurface_classes: Sequence) -> ChowElement:
     """Canonical class of a complete intersection, restricted as a linear
-    ambient class: K_ambient + sum of the hypersurface classes, with
-    K_ambient = sum_j -(n_j + 1) h_j."""
+    ambient class: K_ambient + sum of the hypersurface classes (coefficient
+    tuples), with K_ambient = sum_j -(n_j + 1) h_j."""
     k = linear_class(ring, [-(n + 1) for n in ring.dims])
     for cls in hypersurface_classes:
-        k = k + _as_linear(ring, cls)
+        k = k + linear_class(ring, cls)
     return k
 
 

@@ -3,7 +3,8 @@
 Grammar: sums, differences and products of declared generators, integer
 literals, integer powers (``^``) and parentheses.  Multiplication may be
 written ``*`` or by juxtaposition, so ``2b`` and ``(a+3b)`` work as
-expected.  Generators are named ``a``, ``b``, ``c``, ... in factor order.
+expected.  Generators are named ``a``, ``b``, ``c``, ..., ``z`` in factor
+order; the parser reads each name as the generator of its factor.
 Parentheses and unary minus signs nest at most ``MAX_NESTING`` levels deep.
 An integer literal past 2^MAX_POWER_BITS, a coefficient or an exponent, is
 refused, as :mod:`hodgediv.chow` refuses a product or a power whose
@@ -41,12 +42,6 @@ def _literal(text: str) -> int:
     return n
 
 
-def default_generator_names(k: int) -> list[str]:
-    if k > 26:
-        raise ExpressionError("too many factors for single-letter generators")
-    return list(string.ascii_lowercase[:k])
-
-
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
     pos = 0
@@ -71,12 +66,10 @@ class _Parser:
     meets an element, which it then scales (no Chow product), so ``3a`` costs
     one scaling; the result of the whole expression is always an element."""
 
-    def __init__(self, tokens: list[tuple[str, str]], env: dict[str, ChowElement],
-                 ring: MultiProjRing):
+    def __init__(self, tokens: list[tuple[str, str]], ring: MultiProjRing):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
-        self.env = env
         self.ring = ring
 
     def peek(self):
@@ -145,9 +138,10 @@ class _Parser:
         if kind == "int":
             return _literal(text)
         if kind == "name":
-            if text not in self.env:
+            j = string.ascii_lowercase.find(text) if len(text) == 1 else -1
+            if not 0 <= j < len(self.ring.dims):
                 raise ExpressionError(f"unknown generator {text!r}")
-            return self.env[text]
+            return self.ring.generator(j)
         if (kind, text) == ("op", "("):
             value = self.nested(self.expr)
             if self.take() != ("op", ")"):
@@ -158,11 +152,8 @@ class _Parser:
         raise ExpressionError(f"unexpected token {text!r}")
 
 
-def evaluate(text: str, ring: MultiProjRing,
-             names: list[str] | None = None) -> ChowElement:
+def evaluate(text: str, ring: MultiProjRing) -> ChowElement:
     """Evaluate an expression in the hyperplane generators of the ring."""
-    names = names or default_generator_names(len(ring.dims))
-    if len(names) != len(ring.dims):
-        raise ExpressionError("generator name count does not match factor count")
-    env = {name: ring.generator(j) for j, name in enumerate(names)}
-    return _Parser(_tokenize(text), env, ring).parse()
+    if len(ring.dims) > len(string.ascii_lowercase):
+        raise ExpressionError("too many factors for single-letter generators")
+    return _Parser(_tokenize(text), ring).parse()

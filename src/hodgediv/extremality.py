@@ -186,7 +186,7 @@ def _interval_infimum(const: Q, slope: Q, lo: Q, hi: Q, numerator: Q) -> Q:
     return numerator / best
 
 
-def threshold_abelian(a: Q, b: Q, c0: Q, g: int, p: Partition | None = None) -> Q:
+def threshold_abelian(a: Q, b: Q, c0: Q, g: int) -> Q:
     """Sound negativity threshold for the abelian double-zero stratum.
 
     inf over L in [0, g] of 2 / (3 (b - 12 c0 kappa_mu + (a + 12 c0) L)),
@@ -194,15 +194,12 @@ def threshold_abelian(a: Q, b: Q, c0: Q, g: int, p: Partition | None = None) -> 
     endpoint bound g is the uniform cap on Lyapunov-exponent sums.
     """
     a, b, c0 = Q(a), Q(b), Q(c0)
-    if p is None:
-        p = double_zero_partition("abelian", g)
-    km = kappa_mu(p)
+    km = kappa_mu(double_zero_partition("abelian", g))
     return _interval_infimum(3 * (b - 12 * c0 * km), 3 * (a + 12 * c0),
                              Q(0), Q(g), Q(2))
 
 
-def threshold_quadratic(a: Q, b: Q, c: Q, g: int, c_max: Q,
-                        p: Partition | None = None) -> Q:
+def threshold_quadratic(a: Q, b: Q, c: Q, g: int, c_max: Q) -> Q:
     """Sound negativity threshold for the quadratic double-zero stratum.
 
     inf over c_area in [0, c_max] of 1 / (2b + 12 c c_area + a (c_area +
@@ -211,9 +208,7 @@ def threshold_quadratic(a: Q, b: Q, c: Q, g: int, c_max: Q,
     a, b, c, c_max = Q(a), Q(b), Q(c), Q(c_max)
     if c_max < 0:
         raise ValueError("c_max must be nonnegative")
-    if p is None:
-        p = double_zero_partition("quadratic", g)
-    km = kappa_mu(p)
+    km = kappa_mu(double_zero_partition("quadratic", g))
     return _interval_infimum(2 * b + a * km, 12 * c + a, Q(0), c_max, Q(1))
 
 

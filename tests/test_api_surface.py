@@ -18,7 +18,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 ALLOWED = {
     "DivisorClass.is_zero": "acceptance criterion 2 checks the genus-2 residual with it",
     "QMatrix.mul_vector": "acceptance criterion 10 checks the solver's answers with it",
-    "psi_degree": "acceptance criterion 7 checks the cotangent degrees with it",
+    "psi_degree": "acceptance criterion 6 checks the cotangent degrees with it",
     "QMatrix.from_rows": "the benchmark and acceptance criterion 10 build systems with it",
 }
 

@@ -95,6 +95,9 @@ def test_ring_axioms(x, y, z):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
+    # (1 + x)^k is affine-linear or not; 1 + alpha beta + x is not
+    for w in (x, x + y, x - y, -x, 3 * x, x * y, (1 + x) ** 4, (1 + ALPHA * BETA + x) ** 3):
+        _assert_normal(w)
 
 
 @given(small_elements(RING), small_elements(RING), st.integers(-5, 5))
@@ -110,9 +113,10 @@ def test_adjunction():
     assert adjunction_canonical(p2, [(4,)]) == linear_class(p2, (1,))
 
 
-def test_adjunction_rejects_nonlinear():
-    with pytest.raises(ValueError):
-        adjunction_canonical(RING, [BETA * BETA])
+def test_adjunction_refuses_an_element():
+    """Hypersurface classes are coefficient tuples, as porteous passes them."""
+    with pytest.raises(TypeError):
+        adjunction_canonical(RING, [linear_class(RING, (0, 2))])
 
 
 def test_relative_dualizing():
@@ -250,9 +254,11 @@ def ring_and_elements(draw, count=2):
 
 
 def _assert_normal(x):
+    """The terms are what the constructor would make of them."""
     for e, c in x.terms.items():
         assert type(c) is Q and c != 0
         assert len(e) == len(x.ring.dims) and all(0 <= ei <= ni for ei, ni in zip(e, x.ring.dims))
+    assert x == ChowElement(x.ring, dict(x.terms))
 
 
 @settings(max_examples=300)
@@ -310,6 +316,26 @@ def test_power_matches_repeated_fraction_products(case):
     power = x ** k
     assert power.terms == ref
     _assert_normal(power)
+
+
+def test_parsed_power_builds_no_element_through_the_constructor(monkeypatch):
+    """Only terms from outside pass through ChowElement.__init__: a parsed
+    power, affine-linear or not, builds each element from normal terms."""
+    init, calls = ChowElement.__init__, []
+
+    def spy(self, ring, terms):
+        calls.append(1)
+        init(self, ring, terms)
+
+    monkeypatch.setattr(ChowElement, "__init__", spy)
+    ring = MultiProjRing((4, 3, 3, 4))
+    parsed = [evaluate(text, ring) for text in
+              ("(3a+5b+2c+7d)^10", "(1-2a+b)^7", "(a*b+1)^5", "2(a-b)^2c-3", "7")]
+    assert calls == []
+    linear_class(ring, (1, 2, 3, 4))
+    assert calls == [1]
+    for x in parsed:
+        _assert_normal(x)
 
 
 def test_binomial_power_of_huge_exponent():

@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import re
+import string
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from hodgediv import catalog, porteous
+from hodgediv.chow import ChowElement, MultiProjRing
+from hodgediv.chowexpr import evaluate
 from hodgediv.cli import main
 
 
@@ -188,6 +192,23 @@ def test_chow_eval_sums_of_literals_are_not_capped(runner):
         runner.invoke(main, ["chow", "eval", f"({2 ** 14000}+{2 ** 14000})^1", "--dims", "1"]))
 
 
+def test_chow_eval_generators_are_a_to_z_in_factor_order(runner):
+    result = runner.invoke(main, ["chow", "eval", "*".join(string.ascii_lowercase),
+                                  "--dims", ",".join(["1"] * 26)])
+    assert (result.exit_code, result.stdout) == (0, "1\n")
+
+
+@pytest.mark.parametrize("expression,dims,message", [
+    ("a", ",".join(["1"] * 27), "too many factors for single-letter generators"),
+    ("e", "1,1,1,1", "unknown generator 'e'"),
+    ("ab", "1,3", "unknown generator 'ab'"),
+    ("A", "1,3", "unknown generator 'A'"),
+], ids=["27-factors", "past-the-last-factor", "two-letters", "upper-case"])
+def test_chow_eval_unknown_generator_exits_2(runner, expression, dims, message):
+    assert _one_error_line(runner.invoke(
+        main, ["chow", "eval", expression, "--dims", dims])) == f"Error: {message}"
+
+
 # Tokens of chow expressions: generators, small integers, operators, small
 # exponents and exponents past the power cap.
 _CHOW_TOKENS = st.one_of(
@@ -207,6 +228,10 @@ def test_chow_eval_fuzz_keeps_the_exit_code_contract(expression, dims):
     assert "Traceback" not in result.output + result.stderr
     if result.exit_code == 2:
         _one_error_line(result)
+    else:  # the element is in the normal form the constructor would give it
+        x = evaluate(expression, MultiProjRing(tuple(map(int, dims.split(",")))))
+        assert x == ChowElement(x.ring, dict(x.terms))
+        assert all(type(c) is Fraction for c in x.terms.values())
 
 
 # Option values for the certificate commands: rationals p/q, integers,

@@ -214,9 +214,8 @@ def test_threshold_abelian_L_independent():
 
 def test_threshold_abelian_decreasing_slope():
     # slope a + 12 c0 = -1/2 < 0: the quotient increases in L, so the
-    # infimum sits at L = 0
-    p = Partition((2,), "abelian", 2)
-    d = threshold_abelian(Q(0), Q(1), Q(-1, 24), 2, p)
+    # infimum sits at L = 0 (the double-zero partition at g = 2 is (2,))
+    d = threshold_abelian(Q(0), Q(1), Q(-1, 24), 2)
     assert d == Q(3, 5)
 
 
