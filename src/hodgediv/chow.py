@@ -13,24 +13,24 @@ Two small exact substrates:
   intersection matrix, plus exceptional classes E_1..E_r with E_i^2 = -1
   and all cross products zero.
 
-Both work over integer numerators with one denominator and build one
-Fraction per output entry.  A product packs each exponent vector into one
-int, a field of b_j + 1 bits per factor with 2^b_j > n_j; adding the offset
-2^b_j - 1 - n_j to a sum of two exponents sets the field's top (guard) bit
-exactly when the sum exceeds n_j.  A power of an affine-linear x = c +
-sum_j c_j h_j is read off the multinomial theorem, with no product: only the
-monomials h^a with a_j <= n_j that the result can hold are formed, so the
-work does not grow with k.  A power of any other x = c + n, n nilpotent, is
-sum_{j <= N} C(k, j) c^(k-j) n^j for N = n_1 + ... + n_k, at most N
-products.  A scalar (an int or a Fraction) times an element scales each
-coefficient and forms no product of terms.  A product with a coefficient
-whose numerator or denominator passes 2^``MAX_POWER_BITS`` (about 4,200
-digits, within Python's 4,300-digit limit for printing an int) is refused
-with a ValueError; so is a power whose constant coefficient c^k must pass it
-(checked first), or, for an affine-linear base, one whose result has such a
-coefficient or, when c = 0, one that needs a power c_j^t past it.  Both are
-refused as soon as the coefficient is formed, before the larger powers are
-raised.
+A product of two elements is the plain term-by-term sum over exponent
+tuples and Fractions: no workload multiplies two elements, since a power of
+an affine-linear base forms no product and the parser scales by a literal
+through the scalar path.  The lattice works over integer numerators with
+one denominator and builds one Fraction per output entry.  A power of an
+affine-linear x = c + sum_j c_j h_j is read off the multinomial theorem,
+with no product: only the monomials h^a with a_j <= n_j that the result can
+hold are formed, so the work does not grow with k.  A power of any other
+x = c + n, n nilpotent, is sum_{j <= N} C(k, j) c^(k-j) n^j for
+N = n_1 + ... + n_k, at most N products.  A scalar (an int or a Fraction)
+times an element scales each coefficient and forms no product of terms.  A
+product with a coefficient whose numerator or denominator passes
+2^``MAX_POWER_BITS`` (about 4,200 digits, within Python's 4,300-digit limit
+for printing an int) is refused with a ValueError; so is a power whose
+constant coefficient c^k must pass it (checked first), or, for an
+affine-linear base, one whose result has such a coefficient or, when c = 0,
+one that needs a power c_j^t past it.  Both are refused as soon as the
+coefficient is formed, before the larger powers are raised.
 
 :func:`pencil_family` packages the total space of a general pencil of
 curves on P^2 or P^1 x P^1 as such a lattice, with the fiber class, the
@@ -39,11 +39,10 @@ relative dualizing class and the fiber genus computed by adjunction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cached_property
 from math import comb, gcd, lcm
-from operator import mul
+from operator import add, le, mul
 from typing import Sequence
 
 from .exactq import _over_lcm
@@ -61,23 +60,11 @@ class MultiProjRing:
     """Product of projective spaces P^{n_1} x ... x P^{n_k}."""
 
     dims: tuple[int, ...]
-    # Packed exponents, derived from ``dims``: (bit position, value mask)
-    # per factor, and the offsets and the guard bits of all the fields.
-    _packing: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.dims or any(n < 1 for n in self.dims):
             raise ValueError("need at least one factor, all of dimension >= 1")
-        dims = tuple(int(n) for n in self.dims)
-        fields, shift, offset, guard = [], 0, 0, 0
-        for n in dims:
-            b = n.bit_length()
-            fields.append((shift, (1 << b) - 1))
-            offset |= ((1 << b) - 1 - n) << shift
-            guard |= 1 << (shift + b)
-            shift += b + 1
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_packing", (tuple(fields), offset, guard))
+        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
 
     def generator(self, j: int) -> "ChowElement":
         """Hyperplane class pulled back from the j-th factor (0-based)."""
@@ -111,15 +98,6 @@ class ChowElement:
         out = ChowElement.__new__(ChowElement)
         out.ring, out.terms = ring, terms
         return out
-
-    @cached_property
-    def _scaled(self) -> tuple[list[tuple[int, int]], int]:
-        """(packed exponent, integer numerator) per term, and the lcm of
-        the term denominators."""
-        nums, den = _over_lcm(list(self.terms.values()))
-        fields = self.ring._packing[0]
-        packed = [sum(e << shift for e, (shift, _) in zip(exp, fields)) for exp in self.terms]
-        return list(zip(packed, nums)), den
 
     def _coerce(self, other):
         if isinstance(other, ChowElement):
@@ -157,39 +135,20 @@ class ChowElement:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "ChowElement":
-        if not isinstance(other, ChowElement):  # a scalar scales each coefficient
+        if isinstance(other, ChowElement):  # term by term
+            other, dims, terms = self._coerce(other), self.ring.dims, {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = tuple(map(add, e1, e2))
+                    if all(map(le, e, dims)):
+                        terms[e] = terms.get(e, 0) + c1 * c2
+            terms = {e: c for e, c in terms.items() if c}
+        else:  # a scalar scales each coefficient
             c = Q(other)
             terms = {e: v * c for e, v in self.terms.items()} if c else {}
-            if any(abs(q.numerator) > _CAP or q.denominator > _CAP for q in terms.values()):
-                raise _refused("product")
-            return ChowElement._of(self.ring, terms)
-        other = self._coerce(other)
-        ring = self.ring
-        fields, offset, guard = ring._packing
-        (a, da), (b, db) = self._scaled, other._scaled
-        acc: dict[int, int] = {}
-        get = acc.get
-        for e1, n1 in a:
-            e1 += offset
-            for e2, n2 in b:
-                e = e1 + e2
-                if not e & guard:
-                    acc[e] = get(e, 0) + n1 * n2
-        nums = [(e - offset, n) for e, n in acc.items() if n]
-        den = da * db
-        if den != 1:
-            g = gcd(den, *(n for _, n in nums))
-            den //= g
-            nums = [(e, n // g) for e, n in nums]
-        terms = {tuple([(e >> shift) & mask for shift, mask in fields]):
-                 Q(n) if den == 1 else Q(n, den) for e, n in nums}
-        # the common numerators and denominator bound those in lowest terms
-        if (den > _CAP or any(abs(n) > _CAP for _, n in nums)) and any(
-                abs(q.numerator) > _CAP or q.denominator > _CAP for q in terms.values()):
+        if any(abs(q.numerator) > _CAP or q.denominator > _CAP for q in terms.values()):
             raise _refused("product")
-        out = ChowElement._of(ring, terms)
-        out._scaled = nums, den
-        return out
+        return ChowElement._of(self.ring, terms)
 
     __rmul__ = __mul__
 
@@ -221,33 +180,45 @@ class ChowElement:
         prod(p_j^a_j) / prod(q_j^a_j), M(a) = s!/prod(a_j!) built factor by
         factor as prod_j C(a_1 + ... + a_j, a_j).  Only a_j <= n_j and s <= k
         are formed, only s = k when c = 0, and each term is checked as it is
-        formed.  A power x_j^t is checked as it is raised: in lowest terms,
-        C(k, t) c^(k-t) x_j^t = (a/b) x_j^t has a numerator of at least
-        |p_j|^t / b and a denominator of at least q_j^t / |a|; with c = 0,
-        x_j^t itself (the coefficient of h_j^t in x^t) must stay within."""
+        formed.  C(k, s) = C(k, s-1)(k-s+1)/s is built only as far as the
+        terms reach.  A power x_j^t is checked on bit lengths as it is raised:
+        with c != 0, the result's term C(k, t) c^(k-t) x_j^t = (a/b) x_j^t is
+        refused once its size, or a bound on its numerator (|p_j|^t / b) or
+        denominator (q_j^t / |a|) in lowest terms, must pass the cap; with
+        c = 0, x_j^t itself (the coefficient of h_j^t in x^t) must stay within."""
         dims = self.ring.dims
         lo = 0 if c else k
         top = min(k, sum(min(dims[e.index(1)], k) for e in linear))
         if top < lo:
             return self.ring.zero()
-        # s -> C(k, s) c^(k-s) as its numerator and denominator
-        scale = {s: (comb(k, s) * c.numerator ** (k - s), c.denominator ** (k - s))
-                 for s in range(lo, top + 1)}
+        scale = [(c.numerator ** k, c.denominator ** k)]
+
+        def at(s):
+            """C(k, s) c^(k-s) as numerator and denominator; only s = k when c = 0."""
+            while c and len(scale) <= s:
+                i, (a, b) = len(scale), scale[-1]
+                scale.append((a * (k - i + 1) // (i * c.numerator), b // c.denominator))
+            return scale[s] if c else (1, 1)
+
         factors = []  # (factor index, [(p^t, q^t) for t = 0, 1, ...])
         for e, x in linear.items():
             j, p, q = e.index(1), x.numerator, x.denominator
             pows = [(1, 1)]
             for t in range(1, min(dims[j], top) + 1):
                 pt, qt = pows[-1][0] * p, pows[-1][1] * q
-                a, b = scale[t] if c else (1, 1)
-                if abs(pt) > _CAP * b or qt > _CAP * abs(a):
+                if c:  # an int v has 2^(l-1) <= |v| < 2^l, l its bit length
+                    la, lb, lp, lq = (v.bit_length() for v in (*at(t), pt, qt))
+                    if (max(la + lp - lq - 1, lp) - lb > MAX_POWER_BITS
+                            or max(lb + lq - lp - 1, lq) - la > MAX_POWER_BITS):
+                        raise _refused(f"power ^{k}")
+                elif abs(pt) > _CAP or qt > _CAP:
                     raise _refused(f"power ^{k}")
                 pows.append((pt, qt))
             factors.append((j, pows))
         terms = {}
 
         def add(exp, s, num, den):
-            a, b = scale[s]
+            a, b = at(s)
             num, den = a * num, b * den
             q = Q(num) if den == 1 else Q(num, den)
             if abs(q.numerator) > _CAP or q.denominator > _CAP:
@@ -361,8 +332,7 @@ class BlowUpLattice:
 @dataclass(frozen=True, init=False)
 class LatticeClass:
     """Integer numerators ``nums`` (base generators, then E_1..E_r) over one
-    positive denominator ``den``, in lowest terms; ``coeffs`` is the dense
-    Fraction vector, built on first use."""
+    positive denominator ``den``, in lowest terms."""
 
     lattice: BlowUpLattice
     nums: tuple[int, ...]
@@ -372,10 +342,6 @@ class LatticeClass:
         g = gcd(den, *nums)
         # frozen: the fields are set once, here
         vars(self).update(lattice=lattice, nums=tuple(v // g for v in nums), den=den // g)
-
-    @cached_property
-    def coeffs(self) -> tuple[Q, ...]:
-        return tuple(Q(v, self.den) for v in self.nums)
 
     def __add__(self, other: "LatticeClass") -> "LatticeClass":
         if self.lattice != other.lattice:

@@ -6,7 +6,8 @@ instances (aliased ``Q`` here), which are always kept in canonical form
 denominator.  A matrix is stored by rows, each a map column -> nonzero
 entry in column order.  :func:`_over_lcm` is the one routine that scales
 rationals to integer numerators over their lcm: for solver rows and
-right-hand sides, Chow products and the records of :mod:`hodgediv.picard`.
+right-hand sides, the lattice classes of :mod:`hodgediv.chow` and the
+records of :mod:`hodgediv.picard`.
 
 The solver eliminates fraction-free over Python ints by Bareiss's
 integer-preserving elimination, kept lazy: a row is rescaled only when its

@@ -20,7 +20,7 @@ report checks the inequality on a supplied family of curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
 

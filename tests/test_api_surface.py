@@ -3,7 +3,8 @@ in the package or in the demos, not only in its own test.
 
 The check is by name: a definition counts as used when its name occurs as a
 variable, an attribute or an imported name anywhere in ``src/hodgediv`` or
-``demos`` outside the definition itself.
+``demos`` outside the definition itself.  Every name a module binds by a
+top-level import is read in that module, too.
 """
 
 import ast
@@ -93,4 +94,24 @@ def test_every_private_function_has_a_caller_in_the_package():
     unused = [f"{path.name}: {qualname}" for path in PACKAGE
               for qualname, node in _private_definitions(trees[path])
               if used[node.name] - _names(node)[node.name] <= 0]
+    assert unused == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by a top-level import that the module never reads; a name
+    listed in ``__all__`` counts as read, and ``from __future__`` is exempt."""
+    bound = []
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_used():
+    unused = [f"{path.name}: {name}" for path in PACKAGE
+              for name in _unused_imports(ast.parse(path.read_text()))]
     assert unused == []

@@ -5,6 +5,7 @@ import re
 import string
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,6 +147,14 @@ def test_chow_eval_binomial_power(runner):
 def test_chow_eval_power_past_the_cap_exits_2(runner, expression):
     assert "refused" in _one_error_line(
         runner.invoke(main, ["chow", "eval", expression, "--dims", "1"]))
+
+
+def test_chow_eval_long_binomial_power_is_refused_in_bounded_time(runner):
+    # every binomial C(20000, s) past the first that passes the cap is left unformed
+    start = time.process_time()
+    assert "power ^20000 refused" in _one_error_line(
+        runner.invoke(main, ["chow", "eval", "(a+1)^20000", "--dims", "20000"]))
+    assert time.process_time() - start < 1
 
 
 @pytest.mark.parametrize("args", [["-a", "--dims", "1"], ["-a*b+2", "--dims", "1,1"],
