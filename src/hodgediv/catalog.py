@@ -10,23 +10,24 @@ regenerates the file deterministically, so it can be kept under version
 control and diffed.
 
 The file holds exactly ``json.dumps(records, indent=2, sort_keys=True)``
-plus a newline.  :func:`dumps` produces those bytes for the record shapes
-:func:`build_catalog` emits, and is shared by :func:`write_catalog` and
-``catalog list --json``.  ``json.dumps`` with an indent never reaches the
-C encoder and sorts every map again, yet all maps of one basis share one
-key set.  So :func:`dumps` lays out each key set once per call: the keys
-in sorted order, the text between their values, and an ``itemgetter``
-that picks the values in that order.  A record or symbol -> "p/q" map is
-then its encoded values slotted into a copy of that text and joined once.
+plus a newline, ``records`` being the :func:`build_catalog` records of each
+genus in turn.  :func:`build_catalog` and the writer, :func:`json_chunks`,
+read one list of (object, record name, note) per genus, :func:`entries`.
+The writer, shared by :func:`write_catalog` and ``catalog list --json``,
+yields that text one record at a time from each object's integer form.  For
+each basis it meets it lays out, once per call, the text of the all-"0"
+symbol map in sorted-key order and the offset of each position's "0"; a
+record's map is slices of that text around its few nonzero numerators.  So
+both commands hold O(g) text per genus, though the file grows as g^2.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from fractions import Fraction as Q
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import picard, testcurves
@@ -41,13 +42,18 @@ def catalog_path() -> Path:
     return Path(os.environ.get(ENV_VAR, DEFAULT_FILENAME))
 
 
-def _render(b: BasisSpec, nums: dict[int, int], den: int) -> dict[str, str]:
-    """symbol -> "p/q" over the whole basis, in basis order, from a record's
-    integer form (numerators over ``den``); zeros read "0".  An integral
-    record, as every test curve is, is written without a Fraction."""
-    out = dict.fromkeys(b.symbols, "0")
+def _value(n: int, den: int) -> str:
+    """``n/den`` as "p/q", with no Fraction when ``den`` is 1 (every test curve)."""
+    return str(n) if den == 1 else format_rational(Q(n, den))
+
+
+def _render(b: BasisSpec, nums: dict[int, int], den: int, zeros: dict) -> dict[str, str]:
+    """symbol -> "p/q" over the whole basis, in basis order, from a record's integer
+    form (numerators over ``den``): a copy of the basis's all-"0" map in ``zeros``."""
+    key = b.space_kind, b.genus
+    out = (zeros.get(key) or zeros.setdefault(key, dict.fromkeys(b.symbols, "0"))).copy()
     for i, n in nums.items():
-        out[b.symbols[i]] = str(n) if den == 1 else format_rational(Q(n, den))
+        out[b.symbols[i]] = _value(n, den)
     return out
 
 
@@ -75,120 +81,114 @@ def _parse(b: BasisSpec, data: dict) -> dict[int, Q]:
     return {i: parse_rational(v) for i, v in entries.items()}
 
 
-def _class_record(name: str, c: DivisorClass, note: str) -> dict:
-    return {
-        "record": "class",
-        "name": name,
-        "space": c.basis.space_kind,
-        "genus": c.basis.genus,
-        "coefficients": _render(c.basis, *c._form[:2]),
-        "note": note,
-    }
-
-
-def _curve_record(c: CurveRecord, note: str) -> dict:
-    nums, den, td = c._form
-    rec = {
-        "record": "curve",
-        "name": c.name,
-        "space": c.basis.space_kind,
-        "genus": c.basis.genus,
-        "vector": _render(c.basis, nums, den) if nums is not None else None,
-        "known_pairings": {k: format_rational(v) for k, v in sorted(c.known_pairings.items())},
-        "note": note,
-    }
-    if td is not None:
-        rec["total_delta"] = format_rational(Q(td, den))
-    return rec
+def entries(g: int) -> list[tuple[DivisorClass | CurveRecord, str, str]]:
+    """(object, record name, note) of every cataloged class and curve of one
+    genus, in a fixed order."""
+    out = [
+        (picard.class_D(g), "D", "locus of differentials with a zero at a Weierstrass point"),
+        (picard.class_stratum_abelian(g), "stratum_abelian_double_zero",
+         "closure of the abelian double-zero stratum"),
+        (picard.class_stratum_quadratic(g), "stratum_quadratic_double_zero",
+         "closure of the quadratic double-zero stratum"),
+        (picard.class_W(g), "W", "marked-Weierstrass-point divisor on 1-pointed curves"),
+    ]
+    a, b = testcurves.curve_A(g), testcurves.curve_B(g)
+    out += [(a, a.name, "line in a fiber over a fixed smooth curve"),
+            (b, b.name, "pencil of plane cubics glued to a fixed genus g-1 curve")]
+    if g >= 3:
+        for i in range(1, g // 2 + 1):
+            c = testcurves.curve_C(g, i)
+            out.append((c, c.name,
+                        f"attachment point of a genus-{i} tail varying on the genus-{g - i} side"))
+            b1, b2, b3 = testcurves.curves_B1_B2_B3(g, i)
+            out += [(rec, f"{rec.name}(i={i})", note) for rec, note in (
+                (b1, "node varying, genus-i side marked"),
+                (b2, "marked point colliding with the node"),
+                (b3, "mirror of B1; only the W-pairing is committed"))]
+    out += [(rec, rec.name, "moving curve in a boundary divisor")
+            for rec in testcurves.moving_curve_catalog(g)]
+    return out
 
 
 def build_catalog(g: int) -> list[dict]:
-    """All cataloged classes and curves for one genus, in a fixed order."""
-    records = [
-        _class_record("D", picard.class_D(g),
-                      "locus of differentials with a zero at a Weierstrass point"),
-        _class_record("stratum_abelian_double_zero", picard.class_stratum_abelian(g),
-                      "closure of the abelian double-zero stratum"),
-        _class_record("stratum_quadratic_double_zero", picard.class_stratum_quadratic(g),
-                      "closure of the quadratic double-zero stratum"),
-        _class_record("W", picard.class_W(g),
-                      "marked-Weierstrass-point divisor on 1-pointed curves"),
-        _curve_record(testcurves.curve_A(g), "line in a fiber over a fixed smooth curve"),
-        _curve_record(testcurves.curve_B(g),
-                      "pencil of plane cubics glued to a fixed genus g-1 curve"),
-    ]
-    if g >= 3:
-        for i in range(1, g // 2 + 1):
-            records.append(_curve_record(
-                testcurves.curve_C(g, i),
-                f"attachment point of a genus-{i} tail varying on the genus-{g - i} side"))
-            b1, b2, b3 = testcurves.curves_B1_B2_B3(g, i)
-            for rec, note in ((b1, "node varying, genus-i side marked"),
-                              (b2, "marked point colliding with the node"),
-                              (b3, "mirror of B1; only the W-pairing is committed")):
-                r = _curve_record(rec, note)
-                r["name"] = f"{rec.name}(i={i})"
-                records.append(r)
-    for rec in testcurves.moving_curve_catalog(g):
-        records.append(_curve_record(rec, "moving curve in a boundary divisor"))
+    """The records of :func:`entries`, as dicts."""
+    records, zeros = [], {}
+    for obj, name, note in entries(g):
+        b = obj.basis
+        if isinstance(obj, DivisorClass):
+            records.append({"record": "class", "name": name, "space": b.space_kind,
+                            "genus": b.genus, "coefficients": _render(b, *obj._form[:2], zeros),
+                            "note": note})
+            continue
+        nums, den, td = obj._form
+        records.append({"record": "curve", "name": name, "space": b.space_kind, "genus": b.genus,
+                        "vector": None if nums is None else _render(b, nums, den, zeros),
+                        "known_pairings": {k: format_rational(v)
+                                           for k, v in sorted(obj.known_pairings.items())},
+                        "note": note})
+        if td is not None:
+            records[-1]["total_delta"] = _value(td, den)
     return records
 
 
-def dumps(records: list[dict]) -> str:
-    """``json.dumps(records, indent=2, sort_keys=True)``, byte for byte.
+def _zero_map(symbols: tuple[str, ...]) -> tuple[str, list[int]]:
+    """The text of the all-"0" map over ``symbols`` at depth 2 of the file,
+    keys sorted, and the offset of each position's ``"0"`` in it."""
+    parts, offsets, at = [], [0] * len(symbols), 0
+    for i in sorted(range(len(symbols)), key=symbols.__getitem__):
+        parts.append(f',\n      {_json_str(symbols[i])}: "0"')
+        at += len(parts[-1])
+        offsets[i] = at - 3
+    return "{" + "".join(parts)[1:] + "\n    }", offsets
 
-    ``records`` is a list of dicts whose values are ``str``, ``int``,
-    ``None`` or a flat ``dict[str, str]``; any other shape, or a key that
-    is not a ``str``, raises ``TypeError`` rather than risk different bytes.
-    """
-    if type(records) is not list:
-        raise TypeError(f"catalog of type {type(records).__name__} is not a list")
-    frames: dict[tuple, tuple] = {}  # (indent, keys in insertion order) -> (getter, text)
 
-    def encode_dict(d: dict, indent: str, encode) -> str:
-        if not d:
-            return "{}"
-        keys = tuple(d)
-        frame = frames.get((indent, keys))
-        if frame is None:
-            order = sorted(keys)
-            heads = [f",\n{indent}{encode_basestring_ascii(k)}: " for k in order]
-            heads[0] = "{" + heads[0][1:]
-            text = [""] * (2 * len(order) + 1)
-            text[0::2] = heads + [f"\n{indent[2:]}}}"]
-            getter = itemgetter(*order) if len(order) > 1 else lambda d, k=order[0]: (d[k],)
-            frame = frames[indent, keys] = getter, text
-        getter, text = frame
-        out = text.copy()
-        out[1::2] = map(encode, getter(d))
-        return "".join(out)
+def json_chunks(content: list[tuple[DivisorClass | CurveRecord, str, str]]) -> Iterator[str]:
+    """``json.dumps(records, indent=2, sort_keys=True)``, byte for byte, one
+    record per chunk, where ``records`` are the dicts :func:`build_catalog`
+    makes of an :func:`entries` list such as ``content``."""
+    frames: dict[tuple[str, int], tuple[str, list[int]]] = {}  # basis -> _zero_map
 
-    def encode_value(v) -> str:
-        if type(v) is str:
-            return encode_basestring_ascii(v)
-        if type(v) is int:
-            return int.__repr__(v)
-        if v is None:
-            return "null"
-        if type(v) is dict:  # a record's maps sit at depth 2 of the file
-            return encode_dict(v, "      ", encode_basestring_ascii)
-        raise TypeError(f"catalog value of type {type(v).__name__} is not a str, int, None "
-                        "or flat str -> str map")
+    def symbol_map(b: BasisSpec, nums: dict[int, int], den: int) -> str:
+        key = b.space_kind, b.genus
+        text, offsets = frames.get(key) or frames.setdefault(key, _zero_map(b.symbols))
+        parts, at = [], 0
+        for i in sorted(nums, key=offsets.__getitem__):
+            off = offsets[i]
+            parts += text[at:off], f'"{_value(nums[i], den)}"'
+            at = off + 3
+        parts.append(text[at:])
+        return "".join(parts)
 
-    def encode_record(rec) -> str:
-        if type(rec) is not dict:
-            raise TypeError(f"catalog record of type {type(rec).__name__} is not a dict")
-        return encode_dict(rec, "    ", encode_value)
-
-    if not records:
-        return "[]"
-    return "[\n  " + ",\n  ".join(map(encode_record, records)) + "\n]"
+    sep = "[\n  "
+    for obj, name, note in content:
+        b = obj.basis
+        named = [f'"name": {_json_str(name)}', f'"note": {_json_str(note)}']
+        space = f'"space": {_json_str(b.space_kind)}'
+        if isinstance(obj, DivisorClass):
+            fields = [f'"coefficients": {symbol_map(b, *obj._form[:2])}', f'"genus": {b.genus}',
+                      *named, '"record": "class"', space]
+        else:
+            nums, den, td = obj._form
+            pairs = ",\n      ".join(f'{_json_str(k)}: "{format_rational(v)}"'
+                                      for k, v in sorted(obj.known_pairings.items()))
+            fields = [f'"genus": {b.genus}',
+                      '"known_pairings": ' + ("{\n      " + pairs + "\n    }" if pairs else "{}"),
+                      *named, '"record": "curve"', space]
+            if td is not None:
+                fields.append(f'"total_delta": "{_value(td, den)}"')
+            fields.append('"vector": ' + ("null" if nums is None else symbol_map(b, nums, den)))
+        yield sep + "{\n    " + ",\n    ".join(fields) + "\n  }"
+        sep = ",\n  "
+    yield "[]" if sep == "[\n  " else "\n]"
 
 
 def write_catalog(genera: list[int], path: Path | None = None) -> Path:
+    """Write the catalog of ``genera``; every genus is checked before the file is opened."""
     path = path or catalog_path()
-    records = [rec for g in genera for rec in build_catalog(g)]
-    path.write_text(dumps(records) + "\n")
+    content = [e for g in genera for e in entries(g)]
+    with path.open("w") as fh:
+        fh.writelines(json_chunks(content))
+        fh.write("\n")
     return path
 
 

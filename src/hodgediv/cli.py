@@ -164,11 +164,12 @@ def cmd_catalog():
 @click.option("--json", "as_json", is_flag=True)
 def cmd_catalog_list(genus: int, as_json: bool):
     from . import catalog as catalog_mod
-    records = catalog_mod.build_catalog(genus)
     if as_json:
-        click.echo(catalog_mod.dumps(records))
+        for chunk in catalog_mod.json_chunks(catalog_mod.entries(genus)):
+            click.echo(chunk, nl=False)
+        click.echo()
         return
-    for rec in records:
+    for rec in catalog_mod.build_catalog(genus):
         data = rec["coefficients"] if rec["record"] == "class" else rec["vector"]
         body = ", ".join(f"{k}={v}" for k, v in data.items() if v != "0") if data else "(no vector)"
         click.echo(f"[{rec['record']}] {rec['name']}: {body}  -- {rec['note']}")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -6,9 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hodgediv import catalog
+from hodgediv.exactq import format_rational
 from hodgediv.picard import (
     MAX_GENUS,
+    MBAR_G,
     MBAR_G1,
+    PHODGE_ABELIAN,
+    PHODGE_QUADRATIC,
+    CurveRecord,
     DivisorClass,
     basis,
     class_D,
@@ -133,76 +139,101 @@ def _reference_dumps(records):
     return json.dumps(records, indent=2, sort_keys=True)
 
 
+def _writer_text(genera):
+    return "".join(catalog.json_chunks([e for g in genera for e in catalog.entries(g)]))
+
+
 def test_dumps_matches_json_dumps_on_built_catalogs():
-    every = []
-    for g in range(2, 61):
-        records = catalog.build_catalog(g)
-        assert catalog.dumps(records) == _reference_dumps(records)
-        every += records
-    assert catalog.dumps(every) == _reference_dumps(every)
-    assert catalog.dumps([]) == _reference_dumps([]) == "[]"
+    """The writer's text is json.dumps of the built records, genus by genus."""
+    for g in [*range(2, 81), 257, 1000]:
+        assert _writer_text([g]) == _reference_dumps(catalog.build_catalog(g)), g
+    assert _writer_text([]) == _reference_dumps([]) == "[]"
 
 
-_tricky_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7fé€\u2028😀'),
+def test_written_file_is_json_dumps_plus_a_newline(tmp_path):
+    genera = [2, 3, 7, 3]
+    path = catalog.write_catalog(genera, tmp_path / "cat.json")
+    records = [rec for g in genera for rec in catalog.build_catalog(g)]
+    assert path.read_text() == _reference_dumps(records) + "\n"
+
+
+def test_writing_a_large_genus_holds_little_memory(tmp_path):
+    """The catalog of g = 1000 is 37.5 MB of text; the writer holds the
+    records' integer forms and one record's text at a time."""
+    path = tmp_path / "cat.json"
+    tracemalloc.start()
+    try:
+        catalog.write_catalog([1000], path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 37_000_000
+    assert peak < 8_000_000
+
+
+@given(st.lists(st.integers(2, 14), max_size=5))
+def test_dumps_matches_json_dumps_when_records_share_key_sets(genera):
+    """Records of one basis share one map layout, within a genus and across
+    a repeated one; bases of several genera meet in one call."""
+    records = [rec for g in genera for rec in catalog.build_catalog(g)]
+    assert _writer_text(genera) == _reference_dumps(records)
+
+
+_tricky_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7fé€\u2028😀\ud800'),
                                  st.characters()), max_size=8)
-_ints = st.one_of(st.integers(), st.integers(-10**40, 10**40),
-                  st.sampled_from([10**39, -(10**39) - 7, 0, -1]))
-_values = st.one_of(_tricky_text, _ints, st.none(),
-                    st.dictionaries(_tricky_text, _tricky_text, max_size=5))
-_records = st.lists(st.dictionaries(_tricky_text, _values, max_size=6), max_size=4)
-
-
-@given(_records)
-def test_dumps_matches_json_dumps_on_record_shapes(records):
-    assert catalog.dumps(records) == _reference_dumps(records)
+_rationals = st.one_of(st.integers(-10**40, 10**40),
+                       st.fractions(max_denominator=10**12), st.sampled_from([0, Q(-1, 3)]))
+_bases = st.builds(basis, st.sampled_from([PHODGE_ABELIAN, PHODGE_QUADRATIC, MBAR_G1, MBAR_G]),
+                   st.integers(2, 12))
 
 
 @st.composite
-def _records_sharing_layouts(draw):
-    """Maps and records over one key set in several insertion orders and
-    with different values, beside one-key and empty maps: one dumps call
-    lays out each key set once and reuses it."""
-    keys = draw(st.lists(st.one_of(st.sampled_from(['"', "\\", "\ud800", "\U0001f600", 'a"\\b']),
-                                   _tricky_text), max_size=6, unique=True))
+def _contents(draw):
+    """(object, name, note) for classes and curves of any shape the writer
+    meets: other bases, fractional and huge entries, tricky strings, no
+    vector, no pairings, a total boundary pairing."""
+    content = []
+    for b in draw(st.lists(_bases, max_size=4)):
+        positions = st.dictionaries(st.integers(0, len(b.symbols) - 1), _rationals, max_size=5)
+        name, note = draw(_tricky_text), draw(_tricky_text)
+        if draw(st.booleans()):
+            content.append((DivisorClass(b, nonzero=draw(positions)), name, note))
+        else:
+            curve = CurveRecord(name, b, None, draw(st.dictionaries(_tricky_text, _rationals)),
+                                draw(st.none() | _rationals),
+                                nonzero=draw(st.none() | positions))
+            content.append((curve, draw(_tricky_text), note))
+    return content
 
-    def reordered(values):
-        return dict(zip(draw(st.permutations(keys)),
-                        draw(st.lists(values, min_size=len(keys), max_size=len(keys)))))
 
-    maps = [reordered(_tricky_text) for _ in range(draw(st.integers(1, 3)))]
-    maps += [{k: draw(_tricky_text)} for k in keys[:2]] + [{}]
-    records = [{"coefficients": m} for m in maps]
-    records += [reordered(st.one_of(_tricky_text, _ints, st.none(), st.sampled_from(maps)))
-                for _ in range(draw(st.integers(1, 3)))]
-    return draw(st.permutations(records))
+def _reference_record(obj, name, note):
+    b = obj.basis
+
+    def rendered(nonzero):
+        return {s: format_rational(nonzero.get(i, 0)) for i, s in enumerate(b.symbols)}
+
+    if isinstance(obj, DivisorClass):
+        return {"record": "class", "name": name, "space": b.space_kind, "genus": b.genus,
+                "coefficients": rendered(obj.nonzero), "note": note}
+    rec = {"record": "curve", "name": name, "space": b.space_kind, "genus": b.genus,
+           "vector": None if obj.nonzero is None else rendered(obj.nonzero),
+           "known_pairings": {k: format_rational(v) for k, v in obj.known_pairings.items()},
+           "note": note}
+    if obj.total_delta is not None:
+        rec["total_delta"] = format_rational(obj.total_delta)
+    return rec
 
 
-@given(_records_sharing_layouts())
-def test_dumps_matches_json_dumps_when_records_share_key_sets(records):
-    assert catalog.dumps(records) == _reference_dumps(records)
+@given(_contents())
+def test_dumps_matches_json_dumps_on_record_shapes(content):
+    text = "".join(catalog.json_chunks(content))
+    assert text == _reference_dumps([_reference_record(*entry) for entry in content])
 
 
 def test_dumps_matches_json_dumps_on_the_largest_basis():
-    symbols = basis(MBAR_G1, MAX_GENUS).symbols
-    coefficients = dict.fromkeys(symbols, "0")
-    coefficients.update({symbols[0]: "-3/7", symbols[5000]: "12", symbols[-1]: "1/10000"})
-    vector = {s: coefficients[s] for s in reversed(symbols)}
-    vector[symbols[1]] = "-1"
-    records = [{"record": "class", "name": "X", "space": MBAR_G1, "genus": MAX_GENUS,
-                "coefficients": coefficients, "note": ""},
-               {"record": "curve", "name": "Y", "space": MBAR_G1, "genus": MAX_GENUS,
-                "vector": vector, "known_pairings": {}, "note": ""}]
-    assert catalog.dumps(records) == _reference_dumps(records)
-
-
-@pytest.mark.parametrize("value", [[1], 1.5, {"eta": {"lambda": "1"}}, {"eta": 1}, True,
-                                   {1: "1"}, {None: "0"}])
-def test_dumps_rejects_other_value_shapes(value):
-    with pytest.raises(TypeError):
-        catalog.dumps([{"record": "class", "coefficients": value}])
-
-
-@pytest.mark.parametrize("record", [{1: "1"}, {None: "0"}, {"record": "class", 2: None}])
-def test_dumps_rejects_a_record_key_that_is_not_str(record):
-    with pytest.raises(TypeError):
-        catalog.dumps([record])
+    b = basis(MBAR_G1, MAX_GENUS)
+    cls = DivisorClass(b, nonzero={0: Q(-3, 7), 5000: 12, len(b.symbols) - 1: Q(1, 10000)})
+    curve = CurveRecord("Y", b, None, {}, nonzero={1: -1, 5000: 3})
+    content = [(cls, "X", ""), (curve, "Y", "")]
+    text = "".join(catalog.json_chunks(content))
+    assert text == _reference_dumps([_reference_record(*entry) for entry in content])

@@ -392,6 +392,27 @@ def test_catalog_write_env_override(runner, tmp_path, monkeypatch):
     assert (tmp_path / "cat.json").exists()
 
 
+def test_catalog_list_json_is_json_dumps_of_the_records(runner):
+    for g in range(2, 13):
+        result = runner.invoke(main, ["catalog", "list", "--genus", str(g), "--json"])
+        assert result.exit_code == 0
+        assert result.stdout == json.dumps(catalog.build_catalog(g), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("genera", [["3", "10001"], ["10001", "3"]])
+def test_catalog_write_refused_genus_leaves_the_file_as_it_was(runner, tmp_path, monkeypatch,
+                                                               genera):
+    """Every genus is checked before the file is opened, wherever the
+    refused one stands."""
+    target = tmp_path / "cat.json"
+    monkeypatch.setenv("HODGEDIV_CATALOG", str(target))
+    assert runner.invoke(main, ["catalog", "write", "--genus", "3", "--genus", "4"]).exit_code == 0
+    before = target.read_bytes()
+    result = runner.invoke(main, ["catalog", "write", *(a for g in genera for a in ("--genus", g))])
+    assert _one_error_line(result) == "Error: genus must be <= 10000, got 10001"
+    assert result.stdout == "" and target.read_bytes() == before
+
+
 def test_reports_are_byte_identical(runner):
     commands = [
         ["derive", "--genus", "4", "--json"],
@@ -618,10 +639,10 @@ _JSON = st.recursive(st.none() | st.booleans() | st.integers(-10**6, 10**6)
 def edited_catalogs(draw):
     """The text of a genus-3 catalog with one drawn edit: a record key or a
     coefficient replaced by a drawn JSON value or deleted, or the text cut."""
-    records = json.loads(catalog.dumps(catalog.build_catalog(3)))
+    records = catalog.build_catalog(3)
     edit = draw(st.sampled_from(["replace", "delete", "nested", "cut"]))
     if edit == "cut":
-        text = catalog.dumps(records)
+        text = json.dumps(records, indent=2, sort_keys=True)
         return text[:draw(st.integers(0, len(text)))]
     rec = draw(st.sampled_from(records))
     key = draw(st.sampled_from(sorted(rec)))
