@@ -22,15 +22,18 @@ affine-linear x = c + sum_j c_j h_j is read off the multinomial theorem,
 with no product: only the monomials h^a with a_j <= n_j that the result can
 hold are formed, so the work does not grow with k.  A power of any other
 x = c + n, n nilpotent, is sum_{j <= N} C(k, j) c^(k-j) n^j for
-N = n_1 + ... + n_k, at most N products.  A scalar (an int or a Fraction)
-times an element scales each coefficient and forms no product of terms.  A
-product with a coefficient whose numerator or denominator passes
-2^``MAX_POWER_BITS`` (about 4,200 digits, within Python's 4,300-digit limit
-for printing an int) is refused with a ValueError; so is a power whose
-constant coefficient c^k must pass it (checked first), or, for an
-affine-linear base, one whose result has such a coefficient or, when c = 0,
-one that needs a power c_j^t past it.  Both are refused as soon as the
-coefficient is formed, before the larger powers are raised.
+N = n_1 + ... + n_k, at most N products, added into one map of terms; as
+for an affine-linear base, C(k, j) c^(k-j) is built from its predecessor.
+A scalar (an int or a Fraction) times an element scales each coefficient
+and forms no product of terms.  A product with a coefficient whose
+numerator or denominator passes 2^``MAX_POWER_BITS`` (about 4,200 digits,
+within Python's 4,300-digit limit for printing an int) is refused with a
+ValueError; so is a power whose constant coefficient c^k must pass it
+(checked first), one with a term C(k, j) c^(k-j) n^j past it, or, for an
+affine-linear base, one whose result has such a coefficient or, when
+c = 0, one that needs a power c_j^t past it.  Each is refused as soon as
+the coefficient is formed, before the larger powers are raised; a factor
+n^j past the cap is refused as a product.
 
 :func:`pencil_family` packages the total space of a general pencil of
 curves on P^2 or P^1 x P^1 as such a lattice, with the fiber class, the
@@ -53,6 +56,22 @@ _CAP = 1 << MAX_POWER_BITS
 
 def _refused(what: str) -> ValueError:
     return ValueError(f"{what} refused: a coefficient exceeds the {MAX_POWER_BITS:,}-bit cap")
+
+
+def _binomial_scales(c: Q, k: int):
+    """s -> C(k, s) c^(k-s) as numerator and denominator, each built from the
+    last, C(k, s) = C(k, s-1)(k-s+1)/s, only as far as asked; with c = 0 only
+    s = k is asked for, and the value there is 1."""
+    if not c:
+        return lambda s: (1, 1)
+    scale = [(c.numerator ** k, c.denominator ** k)]
+
+    def at(s):
+        while len(scale) <= s:
+            i, (a, b) = len(scale), scale[-1]
+            scale.append((a * (k - i + 1) // (i * c.numerator), b // c.denominator))
+        return scale[s]
+    return at
 
 
 @dataclass(frozen=True)
@@ -165,14 +184,21 @@ class ChowElement:
         n = ChowElement._of(ring, {e: v for e, v in self.terms.items() if e != const})
         if n.is_linear():
             return self._affine_power(c, n.terms, k)
-        nj, out = ring.one(), c ** k * ring.one()
-        for j in range(1, min(k, sum(ring.dims)) + 1):
-            nj = nj * n
-            if not nj.terms:
-                break
+        at = _binomial_scales(c, k)
+        nj, terms = ring.one(), {}
+        for j in range(min(k, sum(ring.dims)) + 1):
+            if j:
+                nj = nj * n
+                if not nj.terms:
+                    break
             if c or j == k:  # with c = 0 only n^k is left
-                out = out + comb(k, j) * c ** (k - j) * nj
-        return out
+                a, b = at(j)
+                for e, v in nj.terms.items():  # each term is checked before it is added
+                    q = Q(a * v.numerator, b * v.denominator)
+                    if abs(q.numerator) > _CAP or q.denominator > _CAP:
+                        raise _refused(f"power ^{k}")
+                    terms[e] = terms.get(e, 0) + q
+        return ChowElement._of(ring, {e: v for e, v in terms.items() if v})
 
     def _affine_power(self, c: Q, linear: dict, k: int) -> "ChowElement":
         """(c + sum_j x_j h_j)^k by the multinomial theorem, x_j = p_j/q_j in
@@ -191,14 +217,7 @@ class ChowElement:
         top = min(k, sum(min(dims[e.index(1)], k) for e in linear))
         if top < lo:
             return self.ring.zero()
-        scale = [(c.numerator ** k, c.denominator ** k)]
-
-        def at(s):
-            """C(k, s) c^(k-s) as numerator and denominator; only s = k when c = 0."""
-            while c and len(scale) <= s:
-                i, (a, b) = len(scale), scale[-1]
-                scale.append((a * (k - i + 1) // (i * c.numerator), b // c.denominator))
-            return scale[s] if c else (1, 1)
+        at = _binomial_scales(c, k)
 
         factors = []  # (factor index, [(p^t, q^t) for t = 0, 1, ...])
         for e, x in linear.items():

@@ -70,8 +70,12 @@ class Report:
 
 
 def _emit(payload: dict, text: str, as_json: bool, ok: bool = True):
-    """Print the JSON report or the text one; exit 1 unless ``ok``."""
-    click.echo(json.dumps(payload, indent=2, sort_keys=True) if as_json else text)
+    """Print the JSON report or the text one; exit 1 unless ``ok``.  The
+    newline goes out on its own: a write that a closed reader cuts short
+    returns a partial count, which the text stream drops without an error,
+    so it is the next write that raises BrokenPipeError."""
+    click.echo(json.dumps(payload, indent=2, sort_keys=True) if as_json else text, nl=False)
+    click.echo()
     if not ok:
         sys.exit(1)
 
@@ -82,13 +86,16 @@ def _genus_option(f):
 
 class _Main(click.Group):
     """The one error boundary: a ValueError from any command, such as an
-    input out of range, ends the run with a one-line ``Error:`` and exit 2."""
+    input out of range, and a standard output closed by its reader end the
+    run with a one-line ``Error:`` and exit 2."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
-            error = click.ClickException(str(exc))
+        except (ValueError, BrokenPipeError) as exc:
+            message = (f"cannot write to standard output: {exc.strerror}"
+                       if isinstance(exc, BrokenPipeError) else str(exc))
+            error = click.ClickException(message)
             error.exit_code = 2
             raise error from exc
 

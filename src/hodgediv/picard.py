@@ -16,9 +16,12 @@ Four families of spaces occur:
 A :class:`DivisorClass` is a coefficient vector over one of these bases,
 and a :class:`CurveRecord` an intersection vector; both are held by their
 nonzero entries in position order, as Fractions (``nonzero``) or as the
-integer form ``_form`` that :func:`pair` multiplies (numerators over their
-lcm denominator), each a view of the other built on first use, as is the
-dense tuple.  Classes over different bases never coerce silently.
+integer form ``_form`` that :func:`pair` multiplies (numerators over one
+denominator, in lowest terms), each a view of the other built on first use,
+as is the dense tuple.  An object built from Fractions stores ``nonzero``;
+one built by ``_of_ints`` from integer numerators, as the closed-form
+classes and the test curves are, stores ``_form`` and forms no Fraction
+until one is read.  Classes over different bases never coerce silently.
 """
 
 from __future__ import annotations
@@ -78,19 +81,46 @@ def _dense(b: BasisSpec, nonzero: dict[int, Q]) -> tuple[Q, ...]:
     return tuple(nonzero.get(i, ZERO) for i in range(len(b.symbols)))
 
 
+def _lowest_terms(nums: dict[int, int], den: int,
+                  td: int | None = None) -> tuple[dict[int, int], int, int | None]:
+    """``nums`` by position, ``den`` > 0 and ``td`` divided by their gcd, zero
+    numerators dropped; ``nums`` itself when that changes nothing."""
+    k = gcd(den, td or 0, *nums.values())
+    if k != 1 or 0 in nums.values():
+        nums = {i: v // k for i, v in nums.items() if v}
+    return nums, den // k, None if td is None else td // k
+
+
+def _boundary(b: BasisSpec, nums: dict[int, int]) -> int | None:
+    """The numerator every ``delta_*`` symbol of ``b`` has in ``nums`` (0
+    without any), or None if they differ."""
+    deltas = {nums.get(i, 0) for i, s in enumerate(b.symbols) if s.startswith("delta_")} or {0}
+    return deltas.pop() if len(deltas) == 1 else None
+
+
 @dataclass(frozen=True, init=False)
 class DivisorClass:
-    """A divisor class over ``basis``, built from dense ``coeffs`` or from a
-    position map, stored as ``nonzero`` (position -> nonzero Fraction, in
-    basis order); ``coeffs`` (dense) and ``_form`` are built on first use."""
+    """A divisor class over ``basis``, built from dense ``coeffs``, from a
+    position map or from integer numerators (``_of_ints``), held as
+    ``nonzero`` (position -> nonzero Fraction, in basis order) or ``_form``;
+    each of these and ``coeffs`` (dense) is built from the other on first use."""
 
     basis: BasisSpec
-    nonzero: dict[int, Q]
+    nonzero: dict[int, Q]  # also a view of _form, below
 
     def __init__(self, basis: BasisSpec, coeffs: Sequence | None = None, *,
                  nonzero: Mapping[int, object] | None = None):
         # frozen: the fields are set once, here
         vars(self).update(basis=basis, nonzero=_nonzero(len(basis.symbols), coeffs, nonzero))
+
+    @classmethod
+    def _of_ints(cls, basis: BasisSpec, nums: dict[int, int], den: int) -> "DivisorClass":
+        """The class of the numerators ``nums`` by position, given in position
+        order, over ``den`` > 0, divided by their gcd, zeros dropped."""
+        nums, den, _ = _lowest_terms(nums, den)
+        self = object.__new__(cls)
+        vars(self).update(basis=basis, _form=(nums, den, _boundary(basis, nums)))
+        return self
 
     def __hash__(self):
         return hash((self.basis, tuple(self.nonzero.items())))
@@ -102,12 +132,16 @@ class DivisorClass:
     @cached_property
     def _form(self) -> tuple[dict[int, int], int, int | None]:
         """Numerators by position over one positive denominator, and the one
-        every ``delta_*`` symbol shares (0 without any; None if they differ)."""
+        every ``delta_*`` symbol shares (0 without any; None if they differ);
+        ``_of_ints`` sets it."""
         nums, den = _over_lcm(self.nonzero.values())
         nums = dict(zip(self.nonzero, nums))
-        deltas = {nums.get(i, 0) for i, s in enumerate(self.basis.symbols)
-                  if s.startswith("delta_")} or {0}
-        return nums, den, deltas.pop() if len(deltas) == 1 else None
+        return nums, den, _boundary(self.basis, nums)
+
+    @cached_property
+    def nonzero(self) -> dict[int, Q]:
+        nums, den, _ = self._form
+        return {i: Q(n, den) for i, n in nums.items()}
 
     @classmethod
     def from_map(cls, b: BasisSpec, coeffs: dict[str, Q]) -> "DivisorClass":
@@ -180,11 +214,9 @@ class CurveRecord:
                  td: int | None = None, known_pairings=None) -> "CurveRecord":
         """The record of the numerators ``nums`` by position, given in position
         order, and ``td`` over ``den`` > 0, divided by their gcd, zeros dropped."""
-        k = gcd(den, td or 0, *nums.values())
         self = object.__new__(cls)
         vars(self).update(name=name, basis=basis, known_pairings=known_pairings or {},
-                          _form=({i: v // k for i, v in nums.items() if v}, den // k,
-                                 None if td is None else td // k))
+                          _form=_lowest_terms(nums, den, td))
         return self
 
     @cached_property
@@ -278,31 +310,28 @@ def class_W(g: int) -> DivisorClass:
 
     W = g(g+1)/2 psi - lambda - sum_{i=1}^{g-1} (g-i)(g-i+1)/2 delta_im.
     """
-    b = basis(MBAR_G1, g)
-    coeffs = {"psi": Q(g * (g + 1), 2), "lambda": Q(-1)}
-    for i in range(1, g):
-        coeffs[f"delta_{i}m"] = Q(-(g - i) * (g - i + 1), 2)
-    return DivisorClass.from_map(b, coeffs)
+    # over 2, by position: lambda, psi, then delta_im at i + 1
+    return DivisorClass._of_ints(
+        basis(MBAR_G1, g),
+        {0: -2, 1: g * (g + 1), **{i + 1: -(g - i) * (g - i + 1) for i in range(1, g)}}, 2)
 
 
 def class_stratum_abelian(g: int) -> DivisorClass:
     """Class of the closed divisorial stratum of abelian differentials with
     one double zero: 24 lambda - (6g-6) eta - 2 delta_0 - 3 sum delta_i."""
-    b = basis(PHODGE_ABELIAN, g)
-    coeffs = {"eta": Q(-(6 * g - 6)), "lambda": Q(24), "delta_0": Q(-2)}
-    for i in range(1, g // 2 + 1):
-        coeffs[f"delta_{i}"] = Q(-3)
-    return DivisorClass.from_map(b, coeffs)
+    # by position: eta, lambda, then delta_i at i + 2
+    return DivisorClass._of_ints(
+        basis(PHODGE_ABELIAN, g),
+        {0: -(6 * g - 6), 1: 24, 2: -2, **dict.fromkeys(range(3, g // 2 + 3), -3)}, 1)
 
 
 def class_stratum_quadratic(g: int) -> DivisorClass:
     """Class of the divisorial stratum of quadratic differentials with one
     double zero: 72 lambda - 10(g-1) eta - 6 sum delta_i."""
-    b = basis(PHODGE_QUADRATIC, g)
-    coeffs = {"eta": Q(-10 * (g - 1)), "lambda": Q(72)}
-    for i in range(g // 2 + 1):
-        coeffs[f"delta_{i}"] = Q(-6)
-    return DivisorClass.from_map(b, coeffs)
+    # by position: eta, lambda, then delta_i at i + 2
+    return DivisorClass._of_ints(
+        basis(PHODGE_QUADRATIC, g),
+        {0: -10 * (g - 1), 1: 72, **dict.fromkeys(range(2, g // 2 + 3), -6)}, 1)
 
 
 def class_D(g: int) -> DivisorClass:
@@ -312,15 +341,11 @@ def class_D(g: int) -> DivisorClass:
     -(g-1)g(g+1) eta + 2(3g^2+2g+1) lambda - g(g+1)/2 delta_0
         + sum_{i>=1} (g+3)i(i-g) delta_i.
     """
-    b = basis(PHODGE_ABELIAN, g)
-    coeffs = {
-        "eta": Q(-(g - 1) * g * (g + 1)),
-        "lambda": Q(2 * (3 * g * g + 2 * g + 1)),
-        "delta_0": Q(-g * (g + 1), 2),
-    }
-    for i in range(1, g // 2 + 1):
-        coeffs[f"delta_{i}"] = Q((g + 3) * i * (i - g))
-    return DivisorClass.from_map(b, coeffs)
+    # over 2, by position: eta, lambda, then delta_i at i + 2
+    return DivisorClass._of_ints(
+        basis(PHODGE_ABELIAN, g),
+        {0: -2 * (g - 1) * g * (g + 1), 1: 4 * (3 * g * g + 2 * g + 1), 2: -g * (g + 1),
+         **{i + 2: 2 * (g + 3) * i * (i - g) for i in range(1, g // 2 + 1)}}, 2)
 
 
 def genus2_lambda_relation() -> DivisorClass:

@@ -31,19 +31,21 @@ from .picard import (
     MBAR_G,
     MBAR_G1,
     PHODGE_ABELIAN,
+    _pair_ints,
     basis,
     class_W,
     class_stratum_abelian,
     genus2_lambda_relation,
-    pair,
 )
 
 
 def _integral(name: str, b, entries: dict[str, int],
               known_pairings: dict[str, Q] | None = None) -> CurveRecord:
     """The record of integer ``entries`` by symbol: numerators over 1."""
-    nums = sorted((b.index(sym), v) for sym, v in entries.items())
-    return CurveRecord._of_ints(name, b, dict(nums), 1, known_pairings=known_pairings)
+    nums = {b._positions[sym]: v for sym, v in entries.items()}
+    if len(nums) > 1:
+        nums = dict(sorted(nums.items()))
+    return CurveRecord._of_ints(name, b, nums, 1, known_pairings=known_pairings)
 
 
 def curve_A(g: int) -> CurveRecord:
@@ -113,9 +115,9 @@ def rhs_C_dot_D(g: int, i: int) -> Q:
 
     (2i-2) B1.W + (2g-2i-2) B2.W + 2 B3.W.
 
-    B1.W and B2.W are computed as dot products against the Weierstrass
-    class; B3.W comes from its recorded pairing.  :func:`curves_B1_B2_B3`
-    checks g and i.
+    B1.W and B2.W are computed as dot products of integer forms against the
+    Weierstrass class; B3.W comes from its recorded pairing; one Fraction is
+    built from the sum.  :func:`curves_B1_B2_B3` checks g and i.
 
     Memoized: the value is a pure function of ``(g, i)`` and an immutable
     Fraction, and both :func:`derive_theorem_class` and the catalog's
@@ -124,9 +126,10 @@ def rhs_C_dot_D(g: int, i: int) -> Q:
     """
     b1, b2, b3 = curves_B1_B2_B3(g, i)
     w = class_W(g)
-    return (Q(2 * i - 2) * pair(b1, w)
-            + Q(2 * g - 2 * i - 2) * pair(b2, w)
-            + Q(2) * b3.known_pairings["W"])
+    (n1, d1), (n2, d2) = _pair_ints(b1, w), _pair_ints(b2, w)
+    n3, d3 = b3.known_pairings["W"].as_integer_ratio()
+    return Q(((2 * i - 2) * n1 * d2 + (2 * g - 2 * i - 2) * n2 * d1) * d3 + 2 * n3 * d1 * d2,
+             d1 * d2 * d3)
 
 
 def compute_a_prime(g: int) -> Q:

@@ -435,6 +435,19 @@ def test_affine_power_is_refused_or_answered_in_bounded_time():
     assert time.process_time() - start < 1
 
 
+def test_power_of_a_non_affine_base_is_refused_or_answered_in_bounded_time():
+    """(1+h^2)^k on P^2k: C(k, j) is built from C(k, j-1), the terms go into
+    one map, and the power stops at the first term C(k, j) h^2j past the cap,
+    refused as a power."""
+    start = time.process_time()
+    (h,) = MultiProjRing((40000,)).generators()
+    with pytest.raises(ValueError, match=r"power \^20000 refused"):
+        (1 + h * h) ** 20000
+    (h,) = MultiProjRing((16000,)).generators()
+    assert chow_integrate((1 + h * h) ** 8000) == 1
+    assert time.process_time() - start < 1
+
+
 BASE_LATTICES = {
     "P2": (("h",), ((1,),)),
     "P1xP1": (("l1", "l2"), ((0, 1), (1, 0))),

@@ -157,6 +157,13 @@ def test_chow_eval_long_binomial_power_is_refused_in_bounded_time(runner):
     assert time.process_time() - start < 1
 
 
+def test_chow_eval_long_power_of_a_non_affine_base_is_refused_in_bounded_time(runner):
+    start = time.process_time()
+    assert "power ^20000 refused" in _one_error_line(
+        runner.invoke(main, ["chow", "eval", "(1+a*a)^20000", "--dims", "40000"]))
+    assert time.process_time() - start < 1
+
+
 @pytest.mark.parametrize("args", [["-a", "--dims", "1"], ["-a*b+2", "--dims", "1,1"],
                                   ["--dims", "1", "--", "-a"], ["--dims", "1", "-a"]])
 def test_chow_eval_expression_may_start_with_minus(runner, args):
@@ -698,3 +705,26 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, args, modules):
     loaded = {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines()
               if line.startswith("import time:")}
     assert {name for name in loaded if name.split(".")[0] == "hodgediv"} == _BASE | modules
+
+
+@pytest.mark.parametrize("args", [
+    ["catalog", "list", "--genus", "400"],
+    ["catalog", "list", "--genus", "400", "--json"],
+    ["derive", "--genus", "3000", "--json"],
+], ids=["catalog-list", "catalog-list-json", "derive-json"])
+def test_a_closed_standard_output_is_an_io_error(tmp_path, args):
+    """A reader that closes the pipe after one line, while output larger
+    than the pipe buffer is still being written (100 KB, 6 MB and 235 KB),
+    ends the run with exit 2 and one ``Error:`` line: no traceback, no
+    "Exception ignored" line."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen([sys.executable, "-m", "hodgediv.cli", *args], env=env, cwd=tmp_path,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+    assert child.stdout.readline()  # unbuffered: no more than the first line is read
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait() == 2
+    assert stderr == "Error: cannot write to standard output: Broken pipe\n"

@@ -23,6 +23,7 @@ from hodgediv.picard import (
     BasisSpec,
     CurveRecord,
     DivisorClass,
+    MAX_GENUS,
     MBAR_G1,
     PHODGE_ABELIAN,
     PHODGE_QUADRATIC,
@@ -377,9 +378,10 @@ def test_equal_classes_have_one_stored_form(data):
 @given(st.data())
 def test_equal_curves_have_one_stored_form(data):
     """A curve built dense, by position, through ``from_map``, ``replace`` or
-    the integer constructor (from the form, or from a multiple of it with
-    the zeros written out) stores one canonical form, the total boundary
-    numerator over the same denominator, and reads back the same values."""
+    the integer constructor (from the form, from the form with the zeros
+    written out, or from a multiple of that) stores one canonical form, the
+    total boundary numerator over the same denominator, and reads back the
+    same values."""
     b = basis(data.draw(st.sampled_from([PHODGE_ABELIAN, PHODGE_QUADRATIC, MBAR_G1])),
               data.draw(st.integers(min_value=2, max_value=60)))
     n = len(b.symbols)
@@ -394,6 +396,7 @@ def test_equal_curves_have_one_stored_form(data):
                                        total_delta=total_delta),
                   replace(rec, known_pairings={}),
                   CurveRecord._of_ints("c", b, dict(nums), den, td),
+                  CurveRecord._of_ints("c", b, {i: nums.get(i, 0) for i in range(n)}, den, td),
                   CurveRecord._of_ints("c", b, {i: 3 * nums.get(i, 0) for i in range(n)}, 3 * den,
                                        None if td is None else 3 * td)):
         assert other._form == rec._form and other == rec
@@ -403,7 +406,7 @@ def test_equal_curves_have_one_stored_form(data):
 
 
 def _callers_of_the_integer_constructor() -> set[str]:
-    """Names of the package functions that call ``CurveRecord._of_ints``."""
+    """Names of the package functions that call ``_of_ints`` of either class."""
     callers = set()
     for path in (Path(__file__).resolve().parents[1] / "src" / "hodgediv").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -415,14 +418,18 @@ def _callers_of_the_integer_constructor() -> set[str]:
 
 
 def test_every_package_call_of_the_integer_constructor_stores_a_canonical_form(monkeypatch):
-    """Every call of ``CurveRecord._of_ints`` made by the package, from each
-    of its callers, over g = 2..60: the test curves and the catalog, the
-    certificate grids and seeded Teichmueller curves of both kinds.  Each
-    hands its numerators in position order and gets the canonical form."""
+    """Every call of ``CurveRecord._of_ints`` or ``DivisorClass._of_ints`` made
+    by the package, from each of its callers, over g = 2..60: the test curves
+    and the catalog, the closed-form classes, the certificate grids and seeded
+    Teichmueller curves of both kinds.  Each hands its numerators in position
+    order and gets the canonical form; a class gets the boundary numerator
+    that its Fractions give."""
     callers = _callers_of_the_integer_constructor()
-    assert callers == {"_integral", "teich_vector_abelian", "teich_vector_quadratic"}
+    assert callers == {"_integral", "teich_vector_abelian", "teich_vector_quadratic",
+                       "class_D", "class_W", "class_stratum_abelian", "class_stratum_quadratic"}
     seen = Counter()
     build = CurveRecord._of_ints.__func__
+    build_class = DivisorClass._of_ints.__func__
 
     def checked(cls, name, b, nums, den, td=None, known_pairings=None):
         seen[sys._getframe(1).f_code.co_name] += 1
@@ -431,7 +438,17 @@ def test_every_package_call_of_the_integer_constructor_stores_a_canonical_form(m
         assert_canonical(*rec._form)
         return rec
 
+    def checked_class(cls, b, nums, den):
+        seen[sys._getframe(1).f_code.co_name] += 1
+        assert list(nums) == sorted(nums) and den > 0
+        c = build_class(cls, b, nums, den)
+        assert_canonical(*c._form)
+        assert c._form == DivisorClass(b, nonzero=c.nonzero)._form
+        return c
+
     monkeypatch.setattr(CurveRecord, "_of_ints", classmethod(checked))
+    monkeypatch.setattr(DivisorClass, "_of_ints", classmethod(checked_class))
+    class_W.cache_clear()  # each genus's W is built again, through the checked constructor
     rng = random.Random(12)
     for g in range(2, 61):
         assert derive_theorem_class(g) == class_D(g)
@@ -448,3 +465,69 @@ def test_every_package_call_of_the_integer_constructor_stores_a_canonical_form(m
                 else:
                     teich_vector_quadratic(g, part, TeichParamsQuadratic(chi, x))
     assert set(seen) == callers
+
+
+def expected_boundary(c: DivisorClass):
+    """The numerator over ``c``'s form denominator that every ``delta_*``
+    coefficient shares, read from the dense coefficients; None if they differ."""
+    values = {v for s, v in zip(c.basis.symbols, c.coeffs) if s.startswith("delta_")}
+    return values.pop() * c._form[1] if len(values) == 1 else None
+
+
+@given(st.data())
+def test_classes_built_from_integer_numerators_store_one_canonical_form(data):
+    """``DivisorClass._of_ints`` from a class's form, from the form with its
+    zeros written out, and from a multiple of that stores the form (boundary
+    numerator included), ==, hash and Fractions of the class built from its
+    values."""
+    b = basis(data.draw(st.sampled_from([PHODGE_ABELIAN, PHODGE_QUADRATIC, MBAR_G1])),
+              data.draw(st.integers(min_value=2, max_value=60)))
+    n = len(b.symbols)
+    entries = data.draw(st.dictionaries(st.integers(0, n - 1), wide_rationals | st.just(Q(0)),
+                                        max_size=8))
+    if data.draw(st.booleans()):  # a uniform boundary, sometimes 0
+        deltas = [i for i, s in enumerate(b.symbols) if s.startswith("delta_")]
+        entries.update(dict.fromkeys(deltas, data.draw(wide_rationals | st.just(Q(0)))))
+    x = DivisorClass(b, nonzero=entries)
+    nums, den, boundary = x._form
+    assert boundary == expected_boundary(x)
+    k = data.draw(st.integers(min_value=2, max_value=10**6))
+    written_out = {i: nums.get(i, 0) for i in range(n)}
+    for y in (DivisorClass._of_ints(b, dict(nums), den),
+              DivisorClass._of_ints(b, written_out, den),
+              DivisorClass._of_ints(b, {i: k * v for i, v in written_out.items()}, k * den)):
+        assert_canonical(*y._form)
+        assert y._form == x._form
+        assert y == x and hash(y) == hash(x)
+        assert y.nonzero == x.nonzero and y.coeffs == x.coeffs
+
+
+def docstring_classes(g: int) -> list[DivisorClass]:
+    """class_D, class_W and the two strata as their docstrings write them,
+    built from Fractions by symbol."""
+    pa, pq, m1 = basis(PHODGE_ABELIAN, g), basis(PHODGE_QUADRATIC, g), basis(MBAR_G1, g)
+    d = {"eta": Q(-(g - 1) * g * (g + 1)), "lambda": Q(2 * (3 * g * g + 2 * g + 1)),
+         "delta_0": Q(-g * (g + 1), 2),
+         **{f"delta_{i}": Q((g + 3) * i * (i - g)) for i in range(1, g // 2 + 1)}}
+    w = {"psi": Q(g * (g + 1), 2), "lambda": Q(-1),
+         **{f"delta_{i}m": Q(-(g - i) * (g - i + 1), 2) for i in range(1, g)}}
+    sa = {"eta": Q(-(6 * g - 6)), "lambda": Q(24), "delta_0": Q(-2),
+          **{f"delta_{i}": Q(-3) for i in range(1, g // 2 + 1)}}
+    sq = {"eta": Q(-10 * (g - 1)), "lambda": Q(72),
+          **{f"delta_{i}": Q(-6) for i in range(g // 2 + 1)}}
+    return [DivisorClass.from_map(pa, d), DivisorClass.from_map(m1, w),
+            DivisorClass.from_map(pa, sa), DivisorClass.from_map(pq, sq)]
+
+
+def test_closed_form_classes_equal_their_docstring_formulas():
+    """The four classes built from integer numerators equal their Fraction
+    formulas, with the same hash and integer form, for g = 2..300 and at
+    the largest genus."""
+    for g in [*range(2, 301), MAX_GENUS]:
+        built = [class_D(g), class_W(g), class_stratum_abelian(g), class_stratum_quadratic(g)]
+        for c, reference in zip(built, docstring_classes(g)):
+            assert_canonical(*c._form)
+            assert c._form == reference._form
+            assert c._form[2] == expected_boundary(reference)
+            assert c == reference and hash(c) == hash(reference)
+            assert c.coeffs == reference.coeffs

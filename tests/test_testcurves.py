@@ -6,7 +6,7 @@ import pytest
 
 from hodgediv import catalog, testcurves
 from hodgediv.exactq import InconsistentSystem, UnderdeterminedSystem
-from hodgediv.picard import PHODGE_ABELIAN, DivisorClass, basis, class_D, class_W, pair
+from hodgediv.picard import PHODGE_ABELIAN, DivisorClass, _pair_ints, basis, class_D, class_W, pair
 from hodgediv.testcurves import (
     compute_a_prime,
     curve_A,
@@ -184,15 +184,16 @@ def test_genus_validation():
 
 
 def test_each_C_pairing_is_computed_once_per_index(tmp_path, monkeypatch):
-    """derive, build_catalog and write_catalog share one rhs_C_dot_D evaluation."""
+    """derive, build_catalog and write_catalog share one rhs_C_dot_D evaluation,
+    which pairs B1 and B2 with W once each."""
     calls = 0
 
     def counted_pair(curve, cls):
         nonlocal calls
         calls += 1
-        return pair(curve, cls)
+        return _pair_ints(curve, cls)
 
-    monkeypatch.setattr(testcurves, "pair", counted_pair)
+    monkeypatch.setattr(testcurves, "_pair_ints", counted_pair)
     rhs_C_dot_D.cache_clear()
     for g in range(3, 13):
         derive_theorem_class(g)
@@ -215,3 +216,17 @@ def test_genus_and_index_are_checked_by_their_owners(call, message):
     boundary index; the builders that call them add no check of their own."""
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_C_pairing_equals_the_sum_of_its_pairings():
+    """rhs_C_dot_D, summed from integer pairings, equals the sum of the
+    Fraction pairings it decomposes into, for every index up to g = 200."""
+    rhs_C_dot_D.cache_clear()
+    for g in range(3, 201):
+        w = class_W(g)
+        for i in range(1, g // 2 + 1):
+            b1, b2, b3 = curves_B1_B2_B3(g, i)
+            expected = ((2 * i - 2) * pair(b1, w) + (2 * g - 2 * i - 2) * pair(b2, w)
+                        + 2 * b3.known_pairings["W"])
+            value = rhs_C_dot_D(g, i)
+            assert value == expected and type(value) is Q
