@@ -9,9 +9,9 @@ Two small exact substrates:
   top monomial.  The constructor normalizes terms given from outside, once;
   every result of the arithmetic is built from terms in normal form.
 * :class:`BlowUpLattice` -- the intersection lattice of a surface blown up
-  at r general points: named base generators with a symmetric integer
-  intersection matrix, plus exceptional classes E_1..E_r with E_i^2 = -1
-  and all cross products zero.
+  at r general points: the symmetric integer intersection matrix of the
+  base classes, plus exceptional classes E_1..E_r with E_i^2 = -1 and all
+  cross products zero.
 
 A product of two elements is the plain term-by-term sum over exponent
 tuples and Fractions: no workload multiplies two elements, since a power of
@@ -310,13 +310,12 @@ def relative_dualizing_linear(canonical: ChowElement, base_factor_index: int) ->
 class BlowUpLattice:
     """Intersection lattice of a surface blown up at r general points."""
 
-    base_gens: tuple[str, ...]
     base_matrix: tuple[tuple[int, ...], ...]
     r: int
 
     def __post_init__(self):
-        n = len(self.base_gens)
-        if len(self.base_matrix) != n or any(len(row) != n for row in self.base_matrix):
+        n = len(self.base_matrix)
+        if any(len(row) != n for row in self.base_matrix):
             raise ValueError("intersection matrix shape mismatch")
         for i in range(n):
             for j in range(n):
@@ -329,7 +328,7 @@ class BlowUpLattice:
         """Build a class; a scalar ``exc_coeffs`` means that multiple of
         every exceptional class (so ``cls(..., 1)`` is ... + sum E_i)."""
         base = [Q(c) for c in base_coeffs]
-        if len(base) != len(self.base_gens):
+        if len(base) != len(self.base_matrix):
             raise ValueError("base coefficient count mismatch")
         if isinstance(exc_coeffs, (int, Q)):
             exc = [Q(exc_coeffs)] * self.r
@@ -345,7 +344,7 @@ class BlowUpLattice:
             raise ValueError("exceptional index out of range")
         exc = [Q(0)] * self.r
         exc[i] = Q(1)
-        return self.cls([Q(0)] * len(self.base_gens), exc)
+        return self.cls([Q(0)] * len(self.base_matrix), exc)
 
 
 @dataclass(frozen=True, init=False)
@@ -384,16 +383,20 @@ class LatticeClass:
     __rmul__ = scale
 
 
+def _base_form(matrix, u: Sequence[int], v: Sequence[int]) -> int:
+    """u^T matrix v over the base block: the first len(matrix) entries."""
+    return sum(u[i] * sum(map(mul, row, v)) for i, row in enumerate(matrix))
+
+
 def lattice_intersect(u: LatticeClass, v: LatticeClass) -> Q:
     """Value of the intersection form: base block by the stored matrix,
     exceptional block -identity, no cross terms; summed over the integers."""
     if u.lattice != v.lattice:
         raise ValueError("classes live in different lattices")
-    lat = u.lattice
-    n = len(lat.base_gens)
+    matrix = u.lattice.base_matrix
+    n = len(matrix)
     a, b = u.nums, v.nums
-    base = sum(a[i] * sum(map(mul, row, b)) for i, row in enumerate(lat.base_matrix))
-    return Q(base - sum(map(mul, a[n:], b[n:])), u.den * v.den)
+    return Q(_base_form(matrix, a, b) - sum(map(mul, a[n:], b[n:])), u.den * v.den)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +405,11 @@ def lattice_intersect(u: LatticeClass, v: LatticeClass) -> Q:
 
 _BASES = {
     "P2": {
-        "gens": ("h",),
         "matrix": ((1,),),
         "canonical": (-3,),
         "euler": 3,
     },
     "P1xP1": {
-        "gens": ("l1", "l2"),
         "matrix": ((0, 1), (1, 0)),
         "canonical": (-2, -2),
         "euler": 4,
@@ -420,8 +421,6 @@ _BASES = {
 class PencilFamily:
     """Blown-up total space of a general pencil of curves on a surface."""
 
-    base: str
-    pencil_class: tuple[int, ...]
     lattice: BlowUpLattice
     f: LatticeClass           # fiber class bl*(pencil) - sum E_i
     omega_rel: LatticeClass   # relative dualizing class
@@ -448,22 +447,18 @@ def pencil_family(base: str, pencil_class) -> PencilFamily:
         pencil = (pencil_class,)
     else:
         pencil = tuple(int(c) for c in pencil_class)
-    if len(pencil) != len(spec["gens"]):
+    if len(pencil) != len(spec["matrix"]):
         raise ValueError("pencil class has wrong number of coefficients")
     if any(c < 1 for c in pencil):
         raise ValueError("pencil class must be ample (all coefficients >= 1)")
 
-    def dot(u, v):
-        return sum(u[i] * spec["matrix"][i][j] * v[j]
-                   for i in range(len(u)) for j in range(len(v)))
-
-    r = dot(pencil, pencil)
-    two_g_minus_2 = r + dot(pencil, spec["canonical"])
+    r = _base_form(spec["matrix"], pencil, pencil)
+    two_g_minus_2 = r + _base_form(spec["matrix"], pencil, spec["canonical"])
     if two_g_minus_2 % 2 != 0:
         raise ValueError("adjunction gave a non-integral genus")
     g = two_g_minus_2 // 2 + 1
 
-    lat = BlowUpLattice(spec["gens"], spec["matrix"], r)
+    lat = BlowUpLattice(spec["matrix"], r)
     f = lat.cls(pencil, Q(-1))
     omega_rel = lat.cls(spec["canonical"], Q(1)) + 2 * f
-    return PencilFamily(base, pencil, lat, f, omega_rel, g, r, spec["euler"])
+    return PencilFamily(lat, f, omega_rel, g, r, spec["euler"])

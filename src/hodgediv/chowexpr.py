@@ -19,7 +19,10 @@ from math import log10
 
 from .chow import _CAP, MAX_POWER_BITS, ChowElement, MultiProjRing, _refused
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*^()]))")
+# A token, or in group 4 a character that starts none; whitespace matches
+# nothing, so the search steps over it in linear time.
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_]\w*)|([-+*^()])|(\S)")
+_KINDS = (None, "int", "name", "op")
 
 # Deepest chain of parentheses and unary minus signs the parser accepts.  It
 # recurses through up to five frames per level, so this keeps it well inside
@@ -43,21 +46,12 @@ def _literal(text: str) -> int:
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ExpressionError(f"unexpected character at: {text[pos:]!r}")
-            break
-        if m.group(1):
-            tokens.append(("int", m.group(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
+    tokens, end = [], 0
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 4:
+            raise ExpressionError(f"unexpected character at: {text[end:]!r}")
+        tokens.append((_KINDS[m.lastindex], m[0]))
+        end = m.end()
     return tokens
 
 

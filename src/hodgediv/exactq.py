@@ -21,6 +21,7 @@ Fractions; only the solution is turned back into canonical Fractions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -28,6 +29,9 @@ from operator import mul
 from typing import Mapping, Sequence
 
 Q = Fraction
+_MAX_DIGITS = 4300  # the most digits Python reads or prints in an int, by default
+_TOO_LONG = 10 ** _MAX_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
 
 class InconsistentSystem(ValueError):
@@ -48,20 +52,24 @@ class UnderdeterminedSystem(ValueError):
 
 def format_rational(x: Q) -> str:
     """Render a rational as ``p/q``, or just ``p`` when the denominator is 1."""
-    if not isinstance(x, Q):
-        x = Q(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(x if isinstance(x, Q) else Q(x))
 
 
 def parse_rational(s: str) -> Q:
     """Inverse of :func:`format_rational`; an integer is read by ``int``, which
-    takes the same integer strings as the Fraction parser at a fifth of its cost."""
+    takes the same integer strings as the Fraction parser at a fifth of its cost.
+    A numerator or denominator past ``_MAX_DIGITS`` digits is a ValueError; an
+    exponent past ``_MAX_DIGITS`` plus the length of the text makes the value 0
+    or that long, and is decided without forming 10 to its power."""
     s = s.strip()
     if (s[1:] if s[:1] == "-" else s).isdecimal():
         return Q(int(s))
-    return Q(s)
+    m = _EXPONENT.search(s)
+    huge = m is not None and abs(int(m[1])) > _MAX_DIGITS + len(s)
+    value = Q(s[:m.start(1)] + "0") if huge else Q(s)  # Fraction checks the rest of the text
+    if value and (huge or max(abs(value.numerator), value.denominator) >= _TOO_LONG):
+        raise ValueError(f"rational refused: it needs more than {_MAX_DIGITS:,} digits")
+    return value
 
 
 ZERO = Q(0)

@@ -215,7 +215,8 @@ def threshold_quadratic(a: Q, b: Q, c: Q, g: int, c_max: Q) -> Q:
 def sample_grid(kind: str, g: int, cmax: Q) -> list[CurveRecord]:
     """The Teichmueller curves ``certify`` checks: chi = 2, 4, ..., 10 with
     L in {0, kappa_mu, g/2, g} (abelian), or chi = 1, ..., 5 with c_area in
-    {0, cmax/4, ..., cmax} (quadratic)."""
+    {0, cmax/4, ..., cmax} (quadratic): both ends of each interval, so its
+    verdict is the verdict on the whole box (see :func:`certificate_check`)."""
     part = double_zero_partition(kind, g)
     if kind == "abelian":
         km = kappa_mu(part)
@@ -244,7 +245,9 @@ class CertificateReport:
 def certificate_check(divisor: DivisorClass, ample: DivisorClass, d: Q,
                       curves: list[CurveRecord]) -> CertificateReport:
     """Check C . (divisor + d * ample) <= 0 for every supplied curve by the sign
-    of each pairing's integer numerator; only a violation becomes a Fraction."""
+    of each pairing's integer numerator; only a violation becomes a Fraction.
+    A Teichmueller pairing is chi times an affine function of L (c_area), so a
+    PASS at both ends of [0, g] ([0, cmax]) holds for every chi > 0 and L between."""
     d = Q(d)
     if d <= 0:
         raise ValueError("threshold d must be positive")

@@ -165,15 +165,14 @@ def derive_theorem_class(g: int) -> DivisorClass:
     curves = [curve_A(g), curve_B(g)]
     rows = [rec.nonzero for rec in curves]
     rhs = [rec.known_pairings["D"] for rec in curves]
-    stratum = class_stratum_abelian(g)
-    s_eta, s_lambda = stratum.coefficient("eta"), stratum.coefficient("lambda")
-    rows.append(DivisorClass.from_map(b_spec, {"eta": s_lambda, "lambda": -s_eta}).nonzero)
+    stratum = class_stratum_abelian(g).nonzero  # by position: eta 0, lambda 1
+    s_eta, s_lambda = stratum[0], stratum[1]
+    rows.append({0: s_lambda, 1: -s_eta})
     rhs.append(s_lambda * compute_a_prime(g))
     if g == 2:
         for j, r in genus2_lambda_relation().nonzero.items():
-            sym = b_spec.symbols[j]
-            rows.append(DivisorClass.from_map(b_spec, {"lambda": r, sym: Q(1)}).nonzero)
-            rhs.append(r * s_lambda + stratum.coefficient(sym))
+            rows.append({1: r, j: 1})
+            rhs.append(r * s_lambda + stratum.get(j, 0))
     curves = [curve_C(g, i) for i in range(1, g // 2 + 1)] if g >= 3 else []
     rows += [rec.nonzero for rec in curves]
     rhs += [rec.known_pairings["D"] for rec in curves]

@@ -1,4 +1,6 @@
+import ast
 import random
+import re
 import time
 from fractions import Fraction as Q
 from math import gcd
@@ -19,7 +21,7 @@ from hodgediv.chow import (
     pencil_family,
     relative_dualizing_linear,
 )
-from hodgediv.chowexpr import MAX_NESTING, ExpressionError, evaluate
+from hodgediv.chowexpr import MAX_NESTING, ExpressionError, _tokenize, evaluate
 
 RING = MultiProjRing((1, 3))
 ALPHA, BETA = RING.generators()
@@ -139,7 +141,7 @@ def test_relative_dualizing_needs_p1_base():
 
 
 def test_lattice_basics():
-    lat = BlowUpLattice(("l1", "l2"), ((0, 1), (1, 0)), 3)
+    lat = BlowUpLattice(((0, 1), (1, 0)), 3)
     e1 = lat.exceptional(0)
     assert lattice_intersect(e1, e1) == -1
     assert lattice_intersect(e1, lat.exceptional(1)) == 0
@@ -150,11 +152,58 @@ def test_lattice_basics():
     assert lattice_intersect(l1, e1) == 0
 
 
+@pytest.mark.parametrize("matrix, r, message", [
+    (((1, 0), (0,)), 1, "shape mismatch"),
+    (((1, 0),), 1, "shape mismatch"),
+    (((0, 1), (2, 0)), 1, "must be symmetric"),
+    (((1,),), -1, "negative number of exceptional classes"),
+])
+def test_lattice_refuses_a_malformed_surface(matrix, r, message):
+    with pytest.raises(ValueError, match=message):
+        BlowUpLattice(matrix, r)
+
+
 def test_lattice_mismatch():
-    lat1 = BlowUpLattice(("h",), ((1,),), 1)
-    lat2 = BlowUpLattice(("h",), ((1,),), 2)
+    lat1 = BlowUpLattice(((1,),), 1)
+    lat2 = BlowUpLattice(((1,),), 2)
     with pytest.raises(ValueError):
         lattice_intersect(lat1.exceptional(0), lat2.exceptional(0))
+
+
+_TOKEN_TEXT = {"int": r"\d+", "name": r"[A-Za-z_]\w*", "op": r"[-+*^()]"}
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="ab c1 23+-*^()é٣_x\t\n9z", max_size=30))
+def test_tokens_cover_the_input_or_the_error_quotes_its_rest(text):
+    """The token texts, joined, are the input without its whitespace, each of
+    its kind; or the error quotes the input from the end of the last token
+    read, where the next character neither starts nor extends a token."""
+    try:
+        tokens, head = _tokenize(text), text
+    except ExpressionError as exc:
+        rest = ast.literal_eval(str(exc).removeprefix("unexpected character at: "))
+        assert rest.strip() and text.endswith(rest)
+        head = text[:len(text) - len(rest)]
+        assert not head[-1:].isspace()
+        tokens = _tokenize(head)
+        with pytest.raises(ExpressionError):
+            _tokenize(rest.lstrip()[0])
+        if not rest[0].isspace():
+            with pytest.raises(ExpressionError):
+                _tokenize(head + rest[0])
+    assert "".join(t for _, t in tokens) == "".join(head.split())
+    assert all(re.fullmatch(_TOKEN_TEXT[kind], t) for kind, t in tokens)
+
+
+def test_tokenizer_steps_over_long_whitespace_in_linear_time():
+    """A search from each space of a long run, each scanning to its end, would
+    take minutes here; the tokenizer's pattern matches no whitespace."""
+    start = time.process_time()
+    assert _tokenize("a" + " " * 200_000) == [("name", "a")]
+    with pytest.raises(ExpressionError, match=r"at: ' +\$'"):
+        _tokenize("a" + " " * 200_000 + "$")
+    assert time.process_time() - start < 1
 
 
 def test_quartic_pencil():
@@ -449,8 +498,8 @@ def test_power_of_a_non_affine_base_is_refused_or_answered_in_bounded_time():
 
 
 BASE_LATTICES = {
-    "P2": (("h",), ((1,),)),
-    "P1xP1": (("l1", "l2"), ((0, 1), (1, 0))),
+    "P2": ((1,),),
+    "P1xP1": ((0, 1), (1, 0)),
 }
 
 
@@ -458,19 +507,20 @@ BASE_LATTICES = {
 def lattice_and_classes(draw):
     """Two classes of a lattice with r up to 70; their entries come from a
     seeded generator, which draws them much faster than 140 strategy draws."""
-    gens, matrix = BASE_LATTICES[draw(st.sampled_from(sorted(BASE_LATTICES)))]
-    lat = BlowUpLattice(gens, matrix, draw(st.integers(0, 70)))
-    rank = len(gens) + lat.r
+    matrix = BASE_LATTICES[draw(st.sampled_from(sorted(BASE_LATTICES)))]
+    lat = BlowUpLattice(matrix, draw(st.integers(0, 70)))
+    n = len(matrix)
+    rank = n + lat.r
     rng = random.Random(draw(st.integers(0, 2**32)))
     pool = [Q(0), Q(1), Q(-1), Q(1, 2), Q(-1, 2)]
     vectors = [[rng.choice(pool) if rng.random() < 0.4 else
                 Q(rng.randint(-50, 50), rng.randint(1, 10**4)) for _ in range(rank)]
                for _ in range(2)]
-    return lat, [lat.cls(v[:len(gens)], v[len(gens):]) for v in vectors], vectors
+    return lat, [lat.cls(v[:n], v[n:]) for v in vectors], vectors
 
 
 def _reference_form(lat, u, v):
-    n = len(lat.base_gens)
+    n = len(lat.base_matrix)
     return (sum((u[i] * lat.base_matrix[i][j] * v[j] for i in range(n) for j in range(n)), Q(0))
             - sum((u[i] * v[i] for i in range(n, len(u))), Q(0)))
 
@@ -492,7 +542,7 @@ def test_lattice_arithmetic_matches_fractions(case, t):
 
 
 def test_lattice_class_normal_form():
-    lat = BlowUpLattice(("l1", "l2"), ((0, 1), (1, 0)), 70)
+    lat = BlowUpLattice(((0, 1), (1, 0)), 70)
     half = lat.cls((Q(2, 4), 0), Q(-2, 4))
     assert half == lat.cls((Q(1, 2), 0), Q(-1, 2)) == LatticeClass(lat, (2, 0) + (-2,) * 70, 4)
     assert hash(half) == hash(LatticeClass(lat, (1, 0) + (-1,) * 70, 2))

@@ -164,6 +164,17 @@ def test_chow_eval_long_power_of_a_non_affine_base_is_refused_in_bounded_time(ru
     assert time.process_time() - start < 1
 
 
+@pytest.mark.parametrize("label, value, args", [
+    ("--chi", "1e100000000", ["teich", "pair", "--kind", "abelian", "--genus", "3", "--lyapunov", "1"]),
+    ("-d", "1e-100000000", ["certify", "--kind", "abelian", "--genus", "3", "-a", "1", "-b", "1"]),
+])
+def test_rational_with_a_huge_exponent_exits_2_in_bounded_time(runner, label, value, args):
+    start = time.process_time()
+    line = _one_error_line(runner.invoke(main, [*args, label, value]))
+    assert time.process_time() - start < 1
+    assert line == f"Error: {label} must be a rational p/q, got {value!r}"
+
+
 @pytest.mark.parametrize("args", [["-a", "--dims", "1"], ["-a*b+2", "--dims", "1,1"],
                                   ["--dims", "1", "--", "-a"], ["--dims", "1", "-a"]])
 def test_chow_eval_expression_may_start_with_minus(runner, args):
@@ -627,6 +638,14 @@ def test_catalog_check_malformed_file_exits_2(runner, written_catalog, edit, mes
     result = runner.invoke(main, ["catalog", "check"])
     assert re.search(message, _one_error_line(result))
     assert result.stdout == ""
+
+
+def test_catalog_check_refuses_a_huge_exponent_in_bounded_time(runner, written_catalog):
+    written_catalog.write_text(written_catalog.read_text().replace('"-6"', '"1e100000000"', 1))
+    start = time.process_time()
+    line = _one_error_line(runner.invoke(main, ["catalog", "check"]))
+    assert time.process_time() - start < 1
+    assert re.search("malformed catalog .*: rational refused", line)
 
 
 def test_catalog_check_missing_file_exits_2(runner, tmp_path, monkeypatch):

@@ -399,6 +399,20 @@ def test_parse_rational_reads_as_fraction(text):
         assert value == expected and type(value) is Q
 
 
+def test_parse_rational_refuses_more_than_4300_digits():
+    """A numerator or denominator past 4,300 digits is refused, also when an
+    exponent would make it; 10 to a huge power is never formed."""
+    assert parse_rational("1e4299") == 10**4299
+    assert parse_rational("-1E-4299") == Q(-1, 10**4299)
+    assert parse_rational("0e100000000") == parse_rational("-0.0e-100000000") == 0
+    for text in ("1e4300", "1e-4300", "1e100000000", "-2.5e-100000000",
+                 "9" * 4000 + "." + "9" * 4000):
+        with pytest.raises(ValueError, match="rational refused: it needs more than 4,300 digits"):
+            parse_rational(text)
+    with pytest.raises(ValueError, match="Invalid literal"):
+        parse_rational("1/2e100000000")
+
+
 def test_format_integers_without_denominator():
     assert format_rational(Q(3)) == "3"
     assert format_rational(Q(-5, 2)) == "-5/2"

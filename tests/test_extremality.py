@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hodgediv.extremality import (
     NonPositiveDenominator,
@@ -321,6 +321,45 @@ def test_certificate_is_sharp_on_sample_grid(kind, g):
     assert max(values.values()) == 0
     assert {name for name, v in values.items() if v == 0} == binding
     assert certificate_check(stratum, ample, d, curves).passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["abelian", "quadratic"]), st.integers(2, 60),
+       st.fractions(min_value=Q(0), max_value=Q(8), max_denominator=12), pos_rationals,
+       st.fractions(min_value=Q(-3), max_value=Q(3), max_denominator=12),
+       st.fractions(min_value=Q(0), max_value=Q(8), max_denominator=12),
+       st.fractions(min_value=Q(1, 1000), max_value=Q(8), max_denominator=1000),
+       st.integers(0, 2**32))
+def test_grid_verdict_is_the_verdict_on_the_whole_box(kind, g, a, b, c, cmax, d_any, seed):
+    """C.(S + d A) is chi times an affine function of L (of c_area), and the
+    grid holds both ends of the interval: it passes exactly when the two
+    chi = 1 curves at the ends do, and a pass holds on the whole box
+    chi > 0, L in [0, g] (c_area in [0, cmax])."""
+    part, abelian = double_zero_partition(kind, g), kind == "abelian"
+    stratum = class_stratum_abelian(g) if abelian else class_stratum_quadratic(g)
+    boundary = {"delta_0": c} if abelian else {f"delta_{i}": c for i in range(g // 2 + 1)}
+    ample = DivisorClass.from_map(stratum.basis, {"lambda": a, "eta": b, **boundary})
+    top = Q(g) if abelian else cmax
+
+    def curve(chi, x):
+        if abelian:
+            return teich_vector_abelian(g, part, TeichParamsAbelian(chi, x, g))
+        return teich_vector_quadratic(g, part, TeichParamsQuadratic(chi, x))
+
+    try:
+        d = threshold_abelian(a, b, c, g) if abelian else threshold_quadratic(a, b, c, g, cmax)
+        values = [d, d * Q(1001, 1000), 2 * d, d / 2, d_any]  # d * 1001/1000 is just past it
+    except NonPositiveDenominator:
+        values = [d_any]
+    grid, rng = sample_grid(kind, g, cmax), random.Random(seed)
+    for d in values:
+        shifted = stratum + d * ample
+        passed = certificate_check(stratum, ample, d, grid).passed
+        assert passed == all(pair(curve(Q(1), x), shifted) <= 0 for x in (Q(0), top))
+        if passed:
+            for _ in range(10):
+                chi = Q(rng.randint(1, 10**4), rng.randint(1, 100))
+                assert pair(curve(chi, top * Q(rng.randint(0, 1000), 1000)), shifted) <= 0
 
 
 @given(teich_curves())
