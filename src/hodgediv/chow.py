@@ -13,27 +13,26 @@ Two small exact substrates:
   base classes, plus exceptional classes E_1..E_r with E_i^2 = -1 and all
   cross products zero.
 
-A product of two elements is the plain term-by-term sum over exponent
-tuples and Fractions: no workload multiplies two elements, since a power of
-an affine-linear base forms no product and the parser scales by a literal
-through the scalar path.  The lattice works over integer numerators with
-one denominator and builds one Fraction per output entry.  A power of an
-affine-linear x = c + sum_j c_j h_j is read off the multinomial theorem,
-with no product: only the monomials h^a with a_j <= n_j that the result can
-hold are formed, so the work does not grow with k.  A power of any other
-x = c + n, n nilpotent, is sum_{j <= N} C(k, j) c^(k-j) n^j for
-N = n_1 + ... + n_k, at most N products, added into one map of terms; as
-for an affine-linear base, C(k, j) c^(k-j) is built from its predecessor.
-A scalar (an int or a Fraction) times an element scales each coefficient
-and forms no product of terms.  A product with a coefficient whose
-numerator or denominator passes 2^``MAX_POWER_BITS`` (about 4,200 digits,
-within Python's 4,300-digit limit for printing an int) is refused with a
-ValueError; so is a power whose constant coefficient c^k must pass it
-(checked first), one with a term C(k, j) c^(k-j) n^j past it, or, for an
-affine-linear base, one whose result has such a coefficient or, when
-c = 0, one that needs a power c_j^t past it.  Each is refused as soon as
-the coefficient is formed, before the larger powers are raised; a factor
-n^j past the cap is refused as a product.
+A product of two elements is the plain term-by-term sum over exponent tuples
+and Fractions: no workload multiplies two elements, since a power of an
+affine-linear base forms no product and the parser scales by a literal
+through the scalar path.  A scalar (an int or a Fraction) times an element
+scales each coefficient and forms no product of terms.  The lattice works
+over integer numerators with one denominator and builds one Fraction per
+output entry.  A power of x = c + n, c constant, sums C(k, s) c^(k-s) n^s
+over s <= k, and each term h^e of an n^s goes through one step: scaled by
+C(k, s) c^(k-s), made one Fraction, refused past the cap, added into one map
+of terms.  For an affine-linear n = sum_j c_j h_j, one depth-first walk
+reads the terms off the multinomial theorem with no product, forming only
+the h^a with a_j <= n_j that the result can hold, so the work does not grow
+with k; any other n, nilpotent, gives the terms of n^s, s <= n_1 + ... + n_k,
+at most that many products.  A product with a coefficient whose numerator or
+denominator passes 2^``MAX_POWER_BITS`` (about 4,200 digits, within Python's
+4,300-digit limit for printing an int) is refused with a ValueError; so is a
+power whose c^k must pass it (checked first), one with a term past it, or,
+for an affine-linear base with c = 0, one that needs a power c_j^t past it.
+Each is refused as soon as the coefficient is formed, before the larger
+powers are raised; a factor n^s past the cap is refused as a product.
 
 :func:`pencil_family` packages the total space of a general pencil of
 curves on P^2 or P^1 x P^1 as such a lattice, with the fiber class, the
@@ -182,44 +181,50 @@ class ChowElement:
         if k * (max(abs(c.numerator), c.denominator).bit_length() - 1) > MAX_POWER_BITS:
             raise _refused(f"power ^{k}")
         n = ChowElement._of(ring, {e: v for e, v in self.terms.items() if e != const})
+        at, terms = _binomial_scales(c, k), {}
+        def step(e, s, num, den):  # the one term step: h^e of n^s, times C(k, s) c^(k-s)
+            a, b = at(s)
+            num, den = a * num, b * den
+            q = Q(num) if den == 1 else Q(num, den)
+            if abs(q.numerator) > _CAP or q.denominator > _CAP:
+                raise _refused(f"power ^{k}")
+            terms[e] = q + terms[e] if e in terms else q
+
         if n.is_linear():
-            return self._affine_power(c, n.terms, k)
-        at = _binomial_scales(c, k)
-        nj, terms = ring.one(), {}
-        for j in range(min(k, sum(ring.dims)) + 1):
-            if j:
-                nj = nj * n
-                if not nj.terms:
-                    break
-            if c or j == k:  # with c = 0 only n^k is left
-                a, b = at(j)
-                for e, v in nj.terms.items():  # each term is checked before it is added
-                    q = Q(a * v.numerator, b * v.denominator)
-                    if abs(q.numerator) > _CAP or q.denominator > _CAP:
-                        raise _refused(f"power ^{k}")
-                    terms[e] = terms.get(e, 0) + q
+            for term in self._affine_power(c, n.terms, k, at):
+                step(*term)
+        else:
+            nj = ring.one()
+            for j in range(min(k, sum(ring.dims)) + 1):
+                if j:
+                    nj = nj * n
+                    if not nj.terms:
+                        break
+                if c or j == k:  # with c = 0 only n^k is left
+                    for e, v in nj.terms.items():
+                        step(e, j, v.numerator, v.denominator)
         return ChowElement._of(ring, {e: v for e, v in terms.items() if v})
 
-    def _affine_power(self, c: Q, linear: dict, k: int) -> "ChowElement":
-        """(c + sum_j x_j h_j)^k by the multinomial theorem, x_j = p_j/q_j in
-        lowest terms: the term h^a, s = |a|, is C(k, s) c^(k-s) M(a)
-        prod(p_j^a_j) / prod(q_j^a_j), M(a) = s!/prod(a_j!) built factor by
-        factor as prod_j C(a_1 + ... + a_j, a_j).  Only a_j <= n_j and s <= k
-        are formed, only s = k when c = 0, and each term is checked as it is
-        formed.  C(k, s) = C(k, s-1)(k-s+1)/s is built only as far as the
-        terms reach.  A power x_j^t is checked on bit lengths as it is raised:
-        with c != 0, the result's term C(k, t) c^(k-t) x_j^t = (a/b) x_j^t is
-        refused once its size, or a bound on its numerator (|p_j|^t / b) or
-        denominator (q_j^t / |a|) in lowest terms, must pass the cap; with
-        c = 0, x_j^t itself (the coefficient of h_j^t in x^t) must stay within."""
+    def _affine_power(self, c: Q, linear: dict, k: int, at):
+        """The terms of (c + sum_j x_j h_j)^k by the multinomial theorem,
+        x_j = p_j/q_j in lowest terms, before the step of ``__pow__`` scales
+        them by C(k, s) c^(k-s): h^a, s = |a|, comes with M(a) prod(p_j^a_j) /
+        prod(q_j^a_j), M(a) = s!/prod(a_j!) built factor by factor as
+        prod_j C(a_1 + ... + a_j, a_j).  Only a_j <= n_j and s <= k are
+        formed, only s = k when c = 0, and each term is yielded as soon as the
+        walk pops it.  A power x_j^t is checked on bit lengths as it is
+        raised: with c != 0, the result's term C(k, t) c^(k-t) x_j^t =
+        (a/b) x_j^t is refused once its size, or a bound on its numerator
+        (|p_j|^t / b) or denominator (q_j^t / |a|) in lowest terms, must pass
+        the cap; with c = 0, x_j^t itself (the coefficient of h_j^t in x^t)
+        must stay within."""
         dims = self.ring.dims
         lo = 0 if c else k
         top = min(k, sum(min(dims[e.index(1)], k) for e in linear))
         if top < lo:
-            return self.ring.zero()
-        at = _binomial_scales(c, k)
-
+            return
         factors = []  # (factor index, [(p^t, q^t) for t = 0, 1, ...])
+        reach = [0]  # reach[i]: the most the first i factors can add to s
         for e, x in linear.items():
             j, p, q = e.index(1), x.numerator, x.denominator
             pows = [(1, 1)]
@@ -234,34 +239,19 @@ class ChowElement:
                     raise _refused(f"power ^{k}")
                 pows.append((pt, qt))
             factors.append((j, pows))
-        terms = {}
-
-        def add(exp, s, num, den):
-            a, b = at(s)
-            num, den = a * num, b * den
-            q = Q(num) if den == 1 else Q(num, den)
-            if abs(q.numerator) > _CAP or q.denominator > _CAP:
-                raise _refused(f"power ^{k}")
-            terms[tuple(exp)] = q
-
-        partial = [([0] * len(dims), 0, 1, 1)]  # (exponent vector, s, numerator, denominator)
-        if not lo:
-            add(*partial[0])
-        for i, (j, pows) in enumerate(factors):
-            more = sum(len(later) - 1 for _, later in factors[i + 1:])  # the most left to add to s
-            grown = []
-            for exp, s, num, den in partial:
-                if s + more >= lo:
-                    grown.append((exp, s, num, den))  # t = 0: a monomial formed already
-                for t in range(max(1, lo - s - more), min(len(pows) - 1, top - s) + 1):
-                    e = exp.copy()
-                    e[j] = t
-                    pt, qt = pows[t]
-                    grown.append((e, s + t, num * comb(s + t, t) * pt, den * qt))
-                    if s + t >= lo:
-                        add(*grown[-1])
-            partial = grown
-        return ChowElement._of(self.ring, terms)
+            reach.append(reach[-1] + len(pows) - 1)
+        # depth first; an entry: (factors left, exponents, s, numerator, denominator)
+        stack = [(len(factors), (0,) * len(dims), 0, 1, 1)]
+        while stack:
+            i, exp, s, num, den = stack.pop()
+            if not i:  # every factor placed, and s >= lo
+                yield exp, s, num, den
+                continue
+            j, pows = factors[i - 1]
+            for t in range(max(0, lo - s - reach[i - 1]), min(len(pows) - 1, top - s) + 1):
+                pt, qt = pows[t]
+                stack.append((i - 1, (*exp[:j], t, *exp[j + 1:]), s + t,
+                              num * comb(s + t, t) * pt, den * qt))
 
     def is_linear(self) -> bool:
         return all(sum(e) == 1 for e in self.terms)

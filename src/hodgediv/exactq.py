@@ -51,8 +51,12 @@ class UnderdeterminedSystem(ValueError):
 
 
 def format_rational(x: Q) -> str:
-    """Render a rational as ``p/q``, or just ``p`` when the denominator is 1."""
-    return str(x if isinstance(x, Q) else Q(x))
+    """Render a rational as ``p/q``, or just ``p`` when the denominator is 1; one
+    with a part past ``_MAX_DIGITS`` digits is a ValueError, found by one comparison."""
+    x = x if isinstance(x, Q) else Q(x)
+    if abs(x.numerator) >= _TOO_LONG or x.denominator >= _TOO_LONG:
+        raise ValueError(f"result refused: it needs more than {_MAX_DIGITS:,} digits")
+    return str(x)
 
 
 def parse_rational(s: str) -> Q:

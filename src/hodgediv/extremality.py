@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
 
+from .exactq import format_rational
 from .picard import (
     CurveRecord,
     DivisorClass,
@@ -39,8 +40,8 @@ class NonPositiveDenominator(ValueError):
     parameter interval; carries the violating endpoint."""
 
     def __init__(self, endpoint: Q, value: Q):
-        super().__init__(
-            f"pairing denominator is {value} <= 0 at parameter {endpoint}")
+        super().__init__(f"pairing denominator is {format_rational(value)} <= 0 "
+                         f"at parameter {format_rational(endpoint)}")
         self.endpoint = endpoint
         self.value = value
 
@@ -235,11 +236,11 @@ class CertificateReport:
 
     def __str__(self) -> str:
         if self.vacuous:
-            return f"PASS (vacuous: no curves supplied) at d = {self.d}"
+            return f"PASS (vacuous: no curves supplied) at d = {format_rational(self.d)}"
         if self.passed:
-            return f"PASS at d = {self.d}"
-        rows = ", ".join(f"{name}: {val}" for name, val in self.violations)
-        return f"FAIL at d = {self.d}: {rows}"
+            return f"PASS at d = {format_rational(self.d)}"
+        rows = ", ".join(f"{name}: {format_rational(val)}" for name, val in self.violations)
+        return f"FAIL at d = {format_rational(self.d)}: {rows}"
 
 
 def certificate_check(divisor: DivisorClass, ample: DivisorClass, d: Q,

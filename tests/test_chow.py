@@ -3,7 +3,7 @@ import random
 import re
 import time
 from fractions import Fraction as Q
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -482,6 +482,27 @@ def test_affine_power_is_refused_or_answered_in_bounded_time():
     (h,) = MultiProjRing((6000,)).generators()
     assert chow_integrate((1 + h) ** 6000) == 1
     assert time.process_time() - start < 1
+
+
+def test_power_without_a_constant_prunes_to_one_path():
+    """With c = 0 only s = k is kept, and the walk drops every partial term
+    whose remaining factors cannot bring s up to k: (h_1 + ... + h_30)^30 on
+    (P^1)^30 takes one path of 31 stack entries, where a bound one too loose
+    per factor would visit about 3.5 million."""
+    ring = MultiProjRing((1,) * 30)
+    start = time.process_time()
+    assert chow_integrate(linear_class(ring, (1,) * 30) ** 30) == factorial(30)
+    assert time.process_time() - start < 0.5
+
+
+def test_affine_power_on_a_thousand_factors():
+    """(h_1 + ... + h_1000)^1000 on (P^1)^1000 is 1000! h_1...h_1000: the
+    multinomial walk keeps its own stack, so it needs no Python frame per
+    factor (1,000 nested frames would pass the default recursion limit)."""
+    ring = MultiProjRing((1,) * 1000)
+    power = linear_class(ring, (1,) * 1000) ** 1000
+    assert power.terms == {(1,) * 1000: Q(factorial(1000))}
+    assert chow_integrate(power) == factorial(1000)
 
 
 def test_power_of_a_non_affine_base_is_refused_or_answered_in_bounded_time():

@@ -175,6 +175,26 @@ def test_rational_with_a_huge_exponent_exits_2_in_bounded_time(runner, label, va
     assert line == f"Error: {label} must be a rational p/q, got {value!r}"
 
 
+_A, _D = "7" * 3000, "9" * 4300  # each input within 4,300 digits; the results are not
+
+
+@pytest.mark.parametrize("args", [
+    ["threshold", "--kind", "abelian", "--genus", "3", "-a", f"{_A}/7{_A}", "-b", f"{_A}1/3{_A}"],
+    ["threshold", "--kind", "abelian", "--genus", "3", "-a", f"-{_A}/7{_A}", "-b", f"1/3{_A}"],
+    ["certify", "--kind", "abelian", "--genus", "3", "-a", "1/7", "-b", "1/3", "-d", _D],
+    ["certify", "--kind", "abelian", "--genus", "3", "-a", "1/7", "-b", "1/3", "-d", _D, "--json"],
+    ["teich", "pair", "--kind", "abelian", "--genus", "3", "--chi", f"{_A}/7{_A}",
+     "--lyapunov", f"1/{_A}1"],
+])
+def test_result_past_4300_digits_exits_2_with_a_labelled_line(runner, args):
+    """A result too long to print is refused by ``format_rational``, also
+    inside the certificate text and the non-positive-denominator message."""
+    start = time.process_time()
+    line = _one_error_line(runner.invoke(main, args))
+    assert time.process_time() - start < 1
+    assert line == "Error: result refused: it needs more than 4,300 digits"
+
+
 @pytest.mark.parametrize("args", [["-a", "--dims", "1"], ["-a*b+2", "--dims", "1,1"],
                                   ["--dims", "1", "--", "-a"], ["--dims", "1", "-a"]])
 def test_chow_eval_expression_may_start_with_minus(runner, args):

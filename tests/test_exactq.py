@@ -413,6 +413,15 @@ def test_parse_rational_refuses_more_than_4300_digits():
         parse_rational("1/2e100000000")
 
 
+def test_format_rational_refuses_more_than_4300_digits():
+    """A part past 4,300 digits, Python's limit for printing an int, is
+    refused with a labelled ValueError rather than the interpreter's text."""
+    assert format_rational(Q(10**4300 - 1)) == "9" * 4300
+    for x in (Q(10**4300), Q(1, 10**4300), Q(-(10**4300), 3)):
+        with pytest.raises(ValueError, match="^result refused: it needs more than 4,300 digits$"):
+            format_rational(x)
+
+
 def test_format_integers_without_denominator():
     assert format_rational(Q(3)) == "3"
     assert format_rational(Q(-5, 2)) == "-5/2"
