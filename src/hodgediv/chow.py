@@ -217,11 +217,18 @@ class ChowElement:
         (a/b) x_j^t is refused once its size, or a bound on its numerator
         (|p_j|^t / b) or denominator (q_j^t / |a|) in lowest terms, must pass
         the cap; with c = 0, x_j^t itself (the coefficient of h_j^t in x^t)
-        must stay within."""
+        must stay within.  With c = 0 and one factor the one term is x^k h^k:
+        only x^k is raised, once a bound on its bit length shows it may fit."""
         dims = self.ring.dims
         lo = 0 if c else k
         top = min(k, sum(min(dims[e.index(1)], k) for e in linear))
         if top < lo:
+            return
+        if not c and len(linear) == 1:  # one term, x^k h^k, which the step caps
+            ((e, x),) = linear.items()
+            if k * (max(abs(x.numerator), x.denominator).bit_length() - 1) > MAX_POWER_BITS:
+                raise _refused(f"power ^{k}")  # x^k must pass the cap: not formed
+            yield tuple(k * v for v in e), k, x.numerator ** k, x.denominator ** k
             return
         factors = []  # (factor index, [(p^t, q^t) for t = 0, 1, ...])
         reach = [0]  # reach[i]: the most the first i factors can add to s

@@ -11,16 +11,20 @@ to -chi/3 (abelian) resp. -chi/2 (quadratic) independently of L / c_area.
 Each record is written as integer numerators over one denominator, from
 those of the parameters and of kappa_mu, which ``CurveRecord._of_ints``
 divides by their gcd: the values of the Fraction formulas at one gcd.
+kappa_mu is computed once per partition object: a :class:`Partition` reads
+it from the memoized :func:`kappa_mu` when it is built and carries it as an
+integer ratio, which every curve over it reads without hashing it.
 
 The certificate machinery implements the negativity condition
 ``C . (D + d A) <= 0``: a threshold d is computed as the infimum of the
 exact solving expression over the parameter interval, and a certificate
-report checks the inequality on a supplied family of curves.
+report checks the inequality on a supplied family of curves, reading the
+integer form of D + d A once and taking one integer dot product per curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cache
 
@@ -30,7 +34,7 @@ from .picard import (
     DivisorClass,
     PHODGE_ABELIAN,
     PHODGE_QUADRATIC,
-    _pair_ints,
+    _pair_each,
     basis,
 )
 
@@ -40,19 +44,29 @@ class NonPositiveDenominator(ValueError):
     parameter interval; carries the violating endpoint."""
 
     def __init__(self, endpoint: Q, value: Q):
-        super().__init__(f"pairing denominator is {format_rational(value)} <= 0 "
-                         f"at parameter {format_rational(endpoint)}")
+        super().__init__(endpoint, value)
         self.endpoint = endpoint
         self.value = value
+
+    def __str__(self) -> str:
+        # rendered here, not in the constructor, so that a value too long to
+        # print still raises this type; the text is then the refusal's
+        try:
+            return (f"pairing denominator is {format_rational(self.value)} <= 0 "
+                    f"at parameter {format_rational(self.endpoint)}")
+        except ValueError as refused:
+            return str(refused)
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Zero-multiplicity partition of a stratum of differentials."""
+    """Zero-multiplicity partition of a stratum of differentials; ``_kappa``
+    is its kappa_mu as an integer ratio."""
 
     parts: tuple[int, ...]
     kind: str  # "abelian" or "quadratic"
     g: int
+    _kappa: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
@@ -67,6 +81,7 @@ class Partition:
         if sum(self.parts) != expected:
             raise ValueError(
                 f"{self.kind} partition must sum to {expected}, got {sum(self.parts)}")
+        object.__setattr__(self, "_kappa", kappa_mu(self).as_integer_ratio())
 
 
 def double_zero_partition(kind: str, g: int) -> Partition:
@@ -110,7 +125,8 @@ def kappa_mu(p: Partition) -> Q:
     """The Lyapunov-exponent carrying constant of a stratum:
 
     abelian: 1/12 sum m(m+2)/(m+1); quadratic: 1/24 sum d(d+4)/(d+2).
-    Memoized: every curve of a grid shares its stratum's partition.
+    Memoized, so equal partitions share one value; each :class:`Partition`
+    reads it once, when it is built.
     """
     if p.kind == "abelian":
         return sum((Q(m * (m + 2), m + 1) for m in p.parts), Q(0)) / 12
@@ -131,7 +147,7 @@ def teich_vector_abelian(g: int, p: Partition, t: TeichParamsAbelian) -> CurveRe
         raise ValueError("partition is not an abelian partition for this genus")
     n, q = t.chi.as_integer_ratio()
     r, s = t.L.as_integer_ratio()
-    u, v = kappa_mu(p).as_integer_ratio()
+    u, v = p._kappa
     return CurveRecord._of_ints(f"Teich(chi={_ratio(n, q)},L={_ratio(r, s)})",
                                 basis(PHODGE_ABELIAN, g),
                                 {0: n * s * v, 1: n * r * v, 2: 12 * n * (r * v - s * u)},
@@ -165,7 +181,7 @@ def teich_vector_quadratic(g: int, p: Partition, t: TeichParamsQuadratic) -> Cur
         raise ValueError("partition is not a quadratic partition for this genus")
     n, q = t.chi.as_integer_ratio()
     r, s = t.c_area.as_integer_ratio()
-    u, v = kappa_mu(p).as_integer_ratio()
+    u, v = p._kappa
     return CurveRecord._of_ints(f"TeichQ(chi={_ratio(n, q)},c={_ratio(r, s)})",
                                 basis(PHODGE_QUADRATIC, g),
                                 {0: 2 * n * s * v, 1: n * (r * v + s * u)}, 2 * q * s * v,
@@ -195,7 +211,7 @@ def threshold_abelian(a: Q, b: Q, c0: Q, g: int) -> Q:
     endpoint bound g is the uniform cap on Lyapunov-exponent sums.
     """
     a, b, c0 = Q(a), Q(b), Q(c0)
-    km = kappa_mu(double_zero_partition("abelian", g))
+    km = Q(*double_zero_partition("abelian", g)._kappa)
     return _interval_infimum(3 * (b - 12 * c0 * km), 3 * (a + 12 * c0),
                              Q(0), Q(g), Q(2))
 
@@ -209,7 +225,7 @@ def threshold_quadratic(a: Q, b: Q, c: Q, g: int, c_max: Q) -> Q:
     a, b, c, c_max = Q(a), Q(b), Q(c), Q(c_max)
     if c_max < 0:
         raise ValueError("c_max must be nonnegative")
-    km = kappa_mu(double_zero_partition("quadratic", g))
+    km = Q(*double_zero_partition("quadratic", g)._kappa)
     return _interval_infimum(2 * b + a * km, 12 * c + a, Q(0), c_max, Q(1))
 
 
@@ -257,9 +273,6 @@ def certificate_check(divisor: DivisorClass, ample: DivisorClass, d: Q,
     if not curves:
         return CertificateReport(True, d, vacuous=True)
     shifted = divisor + d * ample
-    violations = []
-    for c in curves:
-        num, den = _pair_ints(c, shifted)
-        if num > 0:
-            violations.append((c.name, Q(num, den)))
+    violations = [(c.name, Q(num, den))
+                  for c, (num, den) in zip(curves, _pair_each(curves, shifted)) if num > 0]
     return CertificateReport(not violations, d, tuple(violations))

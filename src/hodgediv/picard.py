@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cache, cached_property
 from math import gcd
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactq import ZERO, _nonzero, _over_lcm
 
@@ -39,6 +40,9 @@ PHODGE_QUADRATIC = "PHodgeQuadratic"
 MBAR_G1 = "MbarG1"
 MBAR_G = "MbarG"
 MAX_GENUS = 10_000  # a basis holds about g symbols; 10^9 of them would fill memory
+# The known pairings of every record built without any: a grid of records
+# allocates no empty dict per record.
+_NO_PAIRINGS: Mapping[str, Q] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,9 @@ class DivisorClass:
         order, over ``den`` > 0, divided by their gcd, zeros dropped."""
         nums, den, _ = _lowest_terms(nums, den)
         self = object.__new__(cls)
-        vars(self).update(basis=basis, _form=(nums, den, _boundary(basis, nums)))
+        fields = self.__dict__  # frozen: the fields are set once, here
+        fields["basis"] = basis
+        fields["_form"] = nums, den, _boundary(basis, nums)
         return self
 
     def __hash__(self):
@@ -189,13 +195,14 @@ class CurveRecord:
     boundary, usable only against classes whose boundary coefficients are
     all equal.  A record may carry known pairings with named divisors whose
     class is unknown (e.g. the curve ``B3``, whose individual intersection
-    numbers are not committed).
+    numbers are not committed); one without any holds a read-only empty
+    mapping, shared by all such records.
     """
 
     name: str
     basis: BasisSpec
     nonzero: dict[int, Q] | None  # this and total_delta: also views of _form, below
-    known_pairings: dict[str, Q]
+    known_pairings: Mapping[str, Q]
     total_delta: Q | None
 
     def __init__(self, name: str, basis: BasisSpec, vector: Sequence | None = None,
@@ -205,7 +212,7 @@ class CurveRecord:
         vars(self).update(
             name=name, basis=basis,
             nonzero=_nonzero(len(basis.symbols), vector, nonzero) if committed else None,
-            known_pairings={} if known_pairings is None else known_pairings,
+            known_pairings=_NO_PAIRINGS if known_pairings is None else known_pairings,
             total_delta=(total_delta if total_delta is None or isinstance(total_delta, Q)
                          else Q(total_delta)))
 
@@ -215,8 +222,11 @@ class CurveRecord:
         """The record of the numerators ``nums`` by position, given in position
         order, and ``td`` over ``den`` > 0, divided by their gcd, zeros dropped."""
         self = object.__new__(cls)
-        vars(self).update(name=name, basis=basis, known_pairings=known_pairings or {},
-                          _form=_lowest_terms(nums, den, td))
+        fields = self.__dict__  # frozen: the fields are set once, here
+        fields["name"] = name
+        fields["basis"] = basis
+        fields["known_pairings"] = known_pairings or _NO_PAIRINGS
+        fields["_form"] = _lowest_terms(nums, den, td)
         return self
 
     @cached_property
@@ -246,7 +256,7 @@ class CurveRecord:
     def from_map(cls, name: str, b: BasisSpec, entries: dict[str, Q],
                  known_pairings: dict[str, Q] | None = None,
                  total_delta=None) -> "CurveRecord":
-        return cls(name, b, None, dict(known_pairings or {}), total_delta,
+        return cls(name, b, None, dict(known_pairings) if known_pairings else None, total_delta,
                    nonzero={b.index(sym): c for sym, c in entries.items()})
 
     def entry(self, symbol: str) -> Q:
@@ -255,23 +265,32 @@ class CurveRecord:
         return self.nonzero.get(self.basis.index(symbol), ZERO)
 
 
+def _pair_each(curves: Iterable[CurveRecord], c: DivisorClass) -> Iterator[tuple[int, int]]:
+    """``pair(curve, c)`` for each curve, as an integer numerator over a
+    positive denominator: one dot product of integer forms per curve, with
+    the class's form read once."""
+    coeffs, c_den, boundary = c._form
+    for curve in curves:
+        if curve.basis is not c.basis and curve.basis != c.basis:
+            raise ValueError("curve and class live over different bases")
+        nums, den, td = curve._form
+        if nums is None:
+            raise ValueError(f"curve {curve.name!r} has no committed intersection vector")
+        num = 0
+        for i, v in nums.items():
+            num += v * coeffs.get(i, 0)
+        if td is not None:
+            if boundary is None:
+                raise ValueError(
+                    "curve records only a total boundary pairing but the class has "
+                    "non-uniform boundary coefficients")
+            num += td * boundary
+        yield num, den * c_den
+
+
 def _pair_ints(curve: CurveRecord, c: DivisorClass) -> tuple[int, int]:
     """``pair(curve, c)`` as an integer numerator over a positive denominator."""
-    if curve.basis is not c.basis and curve.basis != c.basis:
-        raise ValueError("curve and class live over different bases")
-    nums, den, td = curve._form
-    if nums is None:
-        raise ValueError(f"curve {curve.name!r} has no committed intersection vector")
-    num, (coeffs, c_den, boundary) = 0, c._form
-    for i, v in nums.items():
-        num += v * coeffs.get(i, 0)
-    if td is not None:
-        if boundary is None:
-            raise ValueError(
-                "curve records only a total boundary pairing but the class has "
-                "non-uniform boundary coefficients")
-        num += td * boundary
-    return num, den * c_den
+    return next(_pair_each((curve,), c))
 
 
 def pair(curve: CurveRecord, c: DivisorClass) -> Q:

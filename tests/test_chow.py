@@ -495,6 +495,28 @@ def test_power_without_a_constant_prunes_to_one_path():
     assert time.process_time() - start < 0.5
 
 
+def test_single_factor_power_without_a_constant_raises_only_x_to_the_k():
+    """(x h)^k on P^n, n >= k, is x^k h^k: only x^k is raised, after its bit
+    length is bounded, so the time does not grow with k as a table of every
+    x^t, t <= k, did (a^1000000 on P^1000000 took 0.87 s and 86.9 MiB)."""
+    start = time.process_time()
+    (h,) = MultiProjRing((10**6,)).generators()
+    assert (h ** 10**6).terms == {(10**6,): Q(1)}
+    assert ((Q(-2, 3) * h) ** 3).terms == {(3,): Q(-8, 27)}
+    assert ((Q(-1, 3) * h) ** 8000).terms == {(8000,): Q(1, 3**8000)}
+    assert ((-h) ** 999_999).terms == {(999_999,): Q(-1)}
+    for base, k in ((3 * h, 10**4), (Q(1, 3) * h, 10**4), (2 * h, 14_001),
+                    (2**7000 * h, 3), (Q(2, 3) * h, 10**6)):
+        with pytest.raises(ValueError, match=rf"power \^{k} refused"):
+            base ** k
+    assert ((2 * h) ** 14_000).terms == {(14_000,): Q(2**14_000)}
+    (h,) = MultiProjRing((10**8,)).generators()
+    for x in (Q(2, 3), Q(1, 3), 3):  # refused from bit lengths: 3^(10^8) is never formed
+        with pytest.raises(ValueError, match=r"power \^100000000 refused"):
+            (x * h) ** 10**8
+    assert time.process_time() - start < 0.5
+
+
 def test_affine_power_on_a_thousand_factors():
     """(h_1 + ... + h_1000)^1000 on (P^1)^1000 is 1000! h_1...h_1000: the
     multinomial walk keeps its own stack, so it needs no Python frame per

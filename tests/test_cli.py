@@ -164,6 +164,14 @@ def test_chow_eval_long_power_of_a_non_affine_base_is_refused_in_bounded_time(ru
     assert time.process_time() - start < 1
 
 
+def test_chow_eval_long_power_of_one_generator_is_answered_in_bounded_time(runner):
+    # only a^k itself is formed, not a table of a^t for every t <= k
+    start = time.process_time()
+    result = runner.invoke(main, ["chow", "eval", "a^2000000", "--dims", "2000000"])
+    assert (result.exit_code, result.output) == (0, "1\n")
+    assert time.process_time() - start < 0.25
+
+
 @pytest.mark.parametrize("label, value, args", [
     ("--chi", "1e100000000", ["teich", "pair", "--kind", "abelian", "--genus", "3", "--lyapunov", "1"]),
     ("-d", "1e-100000000", ["certify", "--kind", "abelian", "--genus", "3", "-a", "1", "-b", "1"]),

@@ -22,6 +22,7 @@ from hodgediv.extremality import (
 from hodgediv.picard import (
     CurveRecord,
     DivisorClass,
+    _pair_ints,
     class_stratum_abelian,
     class_stratum_quadratic,
     pair,
@@ -65,6 +66,53 @@ def test_kappa_mu_computed_once_per_partition():
     assert by_hand is not p and by_hand == p
     assert kappa_mu(by_hand) is kappa_mu(p)
     assert kappa_mu.cache_info().misses == 1
+
+
+def test_a_grid_over_one_partition_hashes_and_compares_it_a_bounded_number_of_times(monkeypatch):
+    """Each partition reads kappa_mu when it is built; its 450 curves then
+    read the carried ratio and never hash or compare the partition.  A
+    fresh, equal partition gives the same records."""
+    g = 6
+    p = double_zero_partition("abelian", g)
+    calls = {"__hash__": 0, "__eq__": 0}
+    for name in calls:
+        method = getattr(Partition, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(Partition, name, counted)
+    params = [TeichParamsAbelian(Q(chi, 3), Q(g * j, 89), g)
+              for chi in range(1, 6) for j in range(90)]
+    curves = [teich_vector_abelian(g, p, t) for t in params]
+    assert len(curves) == 450 and calls == {"__hash__": 0, "__eq__": 0}
+    assert all(c.known_pairings is curves[0].known_pairings == {} for c in curves)
+    fresh = Partition((2,) + (1,) * (2 * g - 4), "abelian", g)
+    assert fresh is not p and sum(calls.values()) <= 2
+    assert [teich_vector_abelian(g, fresh, t) for t in params] == curves
+    assert sum(calls.values()) <= 2
+    q = double_zero_partition("quadratic", g)
+    quadratic = [teich_vector_quadratic(g, q, TeichParamsQuadratic(Q(chi), Q(j, 7)))
+                 for chi in range(1, 6) for j in range(90)]
+    assert len(quadratic) == 450 and sum(calls.values()) <= 4
+
+
+@st.composite
+def partitions(draw):
+    """A random abelian or quadratic partition: the cuts of 2g - 2 (4g - 4)
+    into positive parts, in a random order."""
+    kind = draw(st.sampled_from(["abelian", "quadratic"]))
+    g = draw(st.integers(2, 30))
+    total = 2 * g - 2 if kind == "abelian" else 4 * g - 4
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=12)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    return Partition(tuple(draw(st.permutations(parts))), kind, g)
+
+
+@given(partitions())
+def test_a_partition_carries_the_ratio_of_kappa_mu(p):
+    assert p._kappa == kappa_mu(p).as_integer_ratio()
+    assert p._kappa == Partition(p.parts, p.kind, p.g)._kappa
 
 
 def test_teich_params_validation():
@@ -223,6 +271,22 @@ def test_threshold_abelian_nonpositive_denominator():
     with pytest.raises(NonPositiveDenominator) as exc:
         threshold_abelian(Q(-1), Q(1), Q(0), 3)
     assert exc.value.endpoint == 3
+
+
+def test_a_nonpositive_denominator_too_long_to_print_is_still_typed():
+    """The message is rendered when the exception is printed, not built, so
+    a value past 4,300 digits still raises the subclass with its exact
+    endpoint and value; printed, it is the refusal's one line."""
+    A = int("7" * 3000)
+    a, b = Q(-A, 7 * A + 1), Q(1, 3 * A)
+    with pytest.raises(NonPositiveDenominator) as exc:
+        threshold_abelian(a, b, 0, 3)
+    assert exc.value.endpoint == 3
+    assert exc.value.value == 3 * b + 9 * a
+    assert str(exc.value) == "result refused: it needs more than 4,300 digits"
+    with pytest.raises(NonPositiveDenominator) as exc:
+        threshold_abelian(Q(-1), Q(1), Q(0), 3)
+    assert str(exc.value) == "pairing denominator is -6 <= 0 at parameter 3"
 
 
 def test_threshold_quadratic():
@@ -428,6 +492,8 @@ def test_certificate_check_equals_a_fraction_oracle_on_seeded_grids(seed):
         expected, zeros = oracle_violations(kind, p, stratum, ample, dd, params)
         report = certificate_check(stratum, ample, dd, curves)
         assert list(report.violations) == expected
+        shifted = stratum + dd * ample  # the one pairing loop finds what ``pair`` finds
+        assert expected == [(c.name, pair(c, shifted)) for c in curves if pair(c, shifted) > 0]
         assert all(type(v) is Q for _, v in report.violations)
         assert report.passed == (not expected)
         if k == 0:
@@ -447,3 +513,28 @@ def test_non_uniform_boundary_raises_in_the_certificate_on_every_total_delta_cur
         abelian = class_stratum_abelian(g)
         lopsided = DivisorClass.from_map(abelian.basis, {"lambda": Q(1), "delta_0": Q(1, 7)})
         assert certificate_check(abelian, lopsided, Q(1, 3), sample_grid("abelian", g, Q(0))).d == Q(1, 3)
+
+
+def _message(fn, *args):
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+def test_certificate_check_raises_the_messages_of_pair_ints():
+    """A curve with no committed vector, and a quadratic curve against a
+    class with a non-uniform boundary, fail the certificate with the exact
+    message the one-curve pairing gives."""
+    g = 5
+    stratum, curves = class_stratum_abelian(g), sample_grid("abelian", g, Q(0))
+    ample = DivisorClass.from_map(stratum.basis, {"lambda": Q(1), "eta": Q(2)})
+    bare = CurveRecord("bare", stratum.basis, known_pairings={"W": Q(1)})
+    message = _message(certificate_check, stratum, ample, Q(1, 3), [*curves[:3], bare, *curves[3:]])
+    assert message == _message(_pair_ints, bare, stratum + Q(1, 3) * ample)
+    assert message == "curve 'bare' has no committed intersection vector"
+    stratum = class_stratum_quadratic(g)
+    lopsided = DivisorClass.from_map(stratum.basis, {"lambda": Q(1), "delta_0": Q(1, 7)})
+    for curve in sample_grid("quadratic", g, Q(5, 2)):
+        message = _message(certificate_check, stratum, lopsided, Q(1, 3), [curve])
+        assert message == _message(_pair_ints, curve, stratum + Q(1, 3) * lopsided)
+        assert message.endswith("non-uniform boundary coefficients")

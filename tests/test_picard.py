@@ -319,6 +319,18 @@ def test_dense_and_sparse_curves_agree():
         uncommitted.entry("psi")
 
 
+def test_records_without_known_pairings_share_one_read_only_empty_mapping():
+    b = basis(PHODGE_ABELIAN, 3)
+    recs = [CurveRecord("C", b, (1, 0, 0, 0)), CurveRecord.from_map("C", b, {"eta": 1}),
+            CurveRecord._of_ints("C", b, {0: 1}, 1)]
+    assert recs[0] == recs[1] == recs[2]
+    assert all(r.known_pairings is recs[0].known_pairings == {} for r in recs)
+    with pytest.raises(TypeError):
+        recs[0].known_pairings["W"] = Q(1)
+    assert replace(recs[0], known_pairings={"W": Q(1)}).known_pairings == {"W": Q(1)}
+    assert recs[2].known_pairings == {}
+
+
 def test_replace_round_trips():
     rec = CurveRecord.from_map("T", basis(PHODGE_QUADRATIC, 4), {"eta": 2, "lambda": Q(1, 3)},
                                known_pairings={"D": Q(5)}, total_delta=Q(6))
